@@ -414,7 +414,7 @@ bool verify_streamed_bitwise(core::QrSession& session, const Workload& w, int ch
     auto plan = core::make_plan(a.mt(), a.nt(), *w.opt.tree);
     core::TStore<double> ts(a.mt(), a.nt(), w.opt.ib, a.nb());
     core::TStore<double> t2s(a.mt(), a.nt(), w.opt.ib, a.nb());
-    runtime::execute_spawn(
+    runtime::execute(
         plan.graph,
         [&](std::int32_t idx) {
           core::run_task_kernels(plan.graph.tasks[size_t(idx)], a, ts, t2s, w.opt.ib);

@@ -3,78 +3,62 @@
 //
 // A session owns a persistent worker pool and a plan cache and amortizes
 // both across many factorizations — the "heavy traffic of repeated, often
-// small, QRs" regime where spawn-per-call scheduling overhead dominates
-// flops. Independent factorizations become DAG submissions on the shared
-// pool; a *batch* is fused into one submission (see below) so the scheduler
-// overlaps the tail of one factorization with the heads of the next.
-//
+// small, QRs" regime where per-call scheduling overhead dominates flops.
 // Every entry path routes on shape: tall/square inputs factor by QR, wide
-// inputs (m < n) by LQ on the transposed (reduction) grid — same trees,
-// same runtime, LQ kernels wrapping their QR duals. Solves follow suit:
-// least squares for tall inputs, the minimum-norm solution for wide ones
-// (L⁻¹b first, then the apply-Q̃ DAG — the stage order reverses).
+// inputs (m < n) by LQ on the transposed (reduction) grid; solves give the
+// least-squares solution for tall inputs and the minimum-norm one for wide.
 //
 //   core::FactorSession session;                   // pool + plan cache
 //   auto fut = session.submit<double>(a.view(), opt);
-//   ...                                            // overlap with other work
 //   core::TiledQr<double> qr = fut.get();          // rethrows task errors
-//
 //   auto qrs = session.factorize_batch<double>(views, opt);  // 64 small QRs
-//
 //   auto x = session.solve_least_squares_async<double>(a.view(), b.view(), opt);
-//   ...                                            // factorize → Qᵀb → trsm,
-//   Matrix<double> sol = x.get();                  // all on the session pool
-//
-//   auto qr2 = session.factorize_auto<double>(a.view());  // no TreeConfig:
-//   ...                       // the tree autotuner picks the paper-optimal
-//   ...                       // algorithm for (shape, pool size)
-//
+//   auto qr2 = session.factorize_auto<double>(a.view());  // tuner picks the tree
 //   auto stream = session.stream<double>();        // streaming fusion
-//   auto f1 = stream.push(a1.view());              // futures immediately;
-//   auto s2 = stream.push_solve(a2.view(), b2.view());  // pushes coalesce
-//   stream.close();                                // into the live fused
-//                                                  // submission (see below)
+//   auto s2 = stream.push_solve(a2.view(), b2.view());
 //
-// Batch fusion: factorize_batch concatenates the per-matrix DAGs into one
-// FusedPlan (cached per (shape, count) for homogeneous batches) and submits
-// it once — one deal of the initial ready set, one scheduling-key vector
-// (the concatenation of each plan's cached ranks, no rank sweep), one
-// completion walk. Per-matrix completion is detected by per-subgraph
-// sentinel counters: the last retiring task of each component fulfils that
-// matrix's promise, so early matrices resolve while the rest of the batch
-// is still running.
+// One dispatch path. Every entry point — submit, submit_batch,
+// factorize_batch, apply_q_async, both solve_least_squares_async flavors,
+// push and push_solve — builds Requests and hands them to one primitive,
+// graft(parts, target). A Request holds a factorization (owned, or borrowed
+// from the caller), an optional right-hand side, and its stage: factor →
+// apply → resolve (a wide solve runs its L⁻¹b trsm head between factor and
+// apply). graft() picks the scheduling object for same-stage parts — a lone
+// part runs its own graph with the plan's cached ranks, parts sharing one
+// plan run the PlanCache's cached homogeneous FusedPlan, anything else a
+// materialized union — arms one sentinel counter per part, and hands the
+// component to the target. The last retiring task of a part advances it:
+// resolve its future, or build the next stage and pass it to the request's
+// sink. Parts resolve while the rest of their component still runs, and a
+// cancelled component fails exactly its unfinished parts.
 //
-// Streaming fusion: a fixed batch still drains to one matrix's critical-path
-// tail before the next batch starts. FactorStream removes the batch
-// boundary: pushes return futures immediately and accumulate while the
-// in-flight work drains; each flush grafts the accumulated requests — fused
-// through the same FusedPlan machinery — onto the *live* pool submission
-// (ThreadPool::Stream, generation-counted ready sets), so workers flow from
-// the old generation's tail straight into the new generation's heads.
+// Two targets. A one-shot call is one pool submission under a per-call
+// worker cap, dealt across the workers (one large factorization needs that
+// spread); its next stage is grafted at once. A FactorStream appends to its
+// live ThreadPool::Stream under one cap fixed at open, each component dealt
+// whole to one home worker; its next stages queue on ready_applies and
+// every flush point grafts them as one component.
 //
 // Auto mode: wherever `Options::tree` is left disengaged, the batch,
 // pipeline, and stream paths route the shape through the session's tree
-// autotuner (choose_tree) — per input shape, memoized in the TuningTable —
-// so serving traffic never hand-picks a TreeConfig. The plain submit()
-// keeps the explicit-options contract (disengaged tree = the Greedy paper
-// default); use submit_auto for tuned single factorizations.
+// autotuner (choose_tree). The plain submit() keeps the explicit-options
+// contract (disengaged tree = the Greedy paper default); use submit_auto
+// for tuned single factorizations.
 //
 // Results are bitwise identical to TiledQr<T>::factorize on the same input
 // and tree: the same plan, the same kernels, and tasks that write disjoint
 // regions.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/stringf.hpp"
@@ -159,9 +143,8 @@ class FactorSession {
     int affinity_hint = -1;
   };
 
-  FactorSession() : pool_(0) {}
-  explicit FactorSession(Config config)
-      : tuner_(std::move(config.tuner)), pool_(config.threads) {}
+  FactorSession();
+  explicit FactorSession(Config config);
 
   FactorSession(const FactorSession&) = delete;
   FactorSession& operator=(const FactorSession&) = delete;
@@ -181,36 +164,10 @@ class FactorSession {
   /// "whole pool" — the invariant every session path shares.
   template <typename T>
   [[nodiscard]] std::future<TiledQr<T>> submit(TileMatrix<T> a, Options opt) {
-    struct Pending {
-      TiledQr<T> qr;
-      std::promise<TiledQr<T>> promise;
-    };
-    const int worker_cap = normalize_threads(opt);
-    auto state = std::make_shared<Pending>();
-    std::future<TiledQr<T>> future = state->promise.get_future();
-    try {
-      state->qr = TiledQr<T>::prepare(std::move(a), opt, cache_);
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    note_plan(state->qr.plan_);
-    const dag::TaskGraph& graph = state->qr.plan_->graph;
-    const int ib = state->qr.opt_.ib;
-    pool_.submit(
-        graph,
-        [raw = state.get(), ib](std::int32_t idx) {
-          TiledQr<T>& qr = raw->qr;
-          run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, ib);
-        },
-        [state](std::exception_ptr error) {
-          if (error)
-            state->promise.set_exception(error);
-          else
-            state->promise.set_value(std::move(state->qr));
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, state, &state->qr.plan_->ranks);
-    return future;
+    const int cap = normalize_threads(opt);
+    return std::move(launch<T, TiledQr<T>>(1, cap, [&](Request<T>& r, size_t) {
+                       r.own(plan_request(std::move(a), opt));
+                     }).front());
   }
 
   /// Asynchronous batched factorization: fuses the batch into ONE pool
@@ -279,42 +236,20 @@ class FactorSession {
   [[nodiscard]] FactorStream<T> stream(StreamOptions opt = {});
 
   /// Applies op(Q) of a finished factorization to tiled C, asynchronously on
-  /// the session pool (no spawn path, no blocking). `qr` is borrowed and
-  /// must stay alive until the future resolves; C is consumed and handed
-  /// back through the future. Results are bitwise identical to
-  /// qr.apply_q(trans, c, ...) on the same input.
+  /// the session pool (no blocking). `qr` is borrowed and must stay alive
+  /// until the future resolves; C is consumed and handed back through the
+  /// future. Results are bitwise identical to qr.apply_q(trans, c, ...) on
+  /// the same input.
   template <typename T>
   [[nodiscard]] std::future<TileMatrix<T>> apply_q_async(const TiledQr<T>& qr, ApplyTrans trans,
                                                          TileMatrix<T> c) {
-    struct Apply {
-      dag::TaskGraph graph;
-      TileMatrix<T> c;
-      std::promise<TileMatrix<T>> promise;
-    };
-    auto state = std::make_shared<Apply>();
-    std::future<TileMatrix<T>> future = state->promise.get_future();
-    try {
-      TILEDQR_CHECK(c.mt() == qr.reduction_p() && c.nb() == qr.a_.nb(),
-                    "apply_q_async: row tiling of C must match the factorization");
-      state->c = std::move(c);
-      state->graph = qr.build_apply_graph(trans, state->c.nt());
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    pool_.submit(
-        state->graph,
-        [raw = state.get(), &qr, trans](std::int32_t id) {
-          qr.run_apply_task(raw->graph.tasks[size_t(id)], trans, raw->c);
-        },
-        [state](std::exception_ptr error) {
-          if (error)
-            state->promise.set_exception(error);
-          else
-            state->promise.set_value(std::move(state->c));
-        },
-        runtime::SchedulePriority::CriticalPath, 0, state);
-    return future;
+    return std::move(launch<T, TileMatrix<T>>(1, 0, [&](Request<T>& r, size_t) {
+                       TILEDQR_CHECK(c.mt() == qr.reduction_p() && c.nb() == qr.a_.nb(),
+                                     "apply_q_async: row tiling of C must match the factorization");
+                       r.qr = &qr;
+                       r.trans = trans;
+                       r.c = std::move(c);
+                     }).front());
   }
 
   /// The factorization is borrowed until the future resolves — a temporary
@@ -331,46 +266,10 @@ class FactorSession {
   template <typename T>
   [[nodiscard]] std::future<Matrix<T>> solve_least_squares_async(const TiledQr<T>& qr,
                                                                  ConstMatrixView<T> b) {
-    struct Solve {
-      dag::TaskGraph graph;
-      TileMatrix<T> c;
-      std::promise<Matrix<T>> promise;
-    };
-    auto state = std::make_shared<Solve>();
-    std::future<Matrix<T>> future = state->promise.get_future();
-    const bool lq = qr.kind() == kernels::FactorKind::LQ;
-    const ApplyTrans trans = lq ? ApplyTrans::NoTrans : ApplyTrans::ConjTrans;
-    try {
-      TILEDQR_CHECK(b.rows() == qr.a_.m(), "solve_least_squares_async: rhs row mismatch");
-      if (b.cols() == 0) {
-        state->promise.set_value(Matrix<T>(qr.a_.n(), 0));
-        return future;
-      }
-      state->c = lq ? qr.start_minimum_norm(b) : TileMatrix<T>::from_dense(b, qr.a_.nb());
-      state->graph = qr.build_apply_graph(trans, state->c.nt());
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    pool_.submit(
-        state->graph,
-        [raw = state.get(), &qr, trans](std::int32_t id) {
-          qr.run_apply_task(raw->graph.tasks[size_t(id)], trans, raw->c);
-        },
-        [state, &qr, lq](std::exception_ptr error) {
-          if (error) {
-            state->promise.set_exception(error);
-            return;
-          }
-          try {
-            state->promise.set_value(lq ? state->c.to_dense()
-                                        : qr.finish_least_squares(state->c));
-          } catch (...) {
-            state->promise.set_exception(std::current_exception());
-          }
-        },
-        runtime::SchedulePriority::CriticalPath, 0, state);
-    return future;
+    return std::move(launch<T, Matrix<T>>(1, 0, [&](Request<T>& r, size_t) {
+                       r.qr = &qr;
+                       set_rhs(r, b, "solve_least_squares_async");
+                     }).front());
   }
 
   template <typename T>
@@ -381,93 +280,21 @@ class FactorSession {
   /// (m < n): factorize A, triangular-solve L y = b, apply Q̃ to [y; 0] —
   /// the minimum-norm solution; the stage order reverses, so the trsm runs
   /// on the worker that retires the factorization and the apply DAG is the
-  /// final stage. Chained stages with no spawn-path fallback and no
-  /// intermediate blocking (each stage is submitted by the worker that
-  /// retires the previous one). `opt.threads > 0` caps the pool workers the
-  /// pipeline may occupy; a disengaged `opt.tree` is routed through the
-  /// autotuner for A's reduction-grid shape.
+  /// final stage. Each stage is submitted by the worker that retires the
+  /// previous one — no intermediate blocking. `opt.threads > 0` caps the
+  /// pool workers the pipeline may occupy; a disengaged `opt.tree` is routed
+  /// through the autotuner for A's reduction-grid shape.
   template <typename T>
   [[nodiscard]] std::future<Matrix<T>> solve_least_squares_async(ConstMatrixView<T> a,
                                                                  ConstMatrixView<T> b,
                                                                  Options opt) {
-    struct Pipeline {
-      TiledQr<T> qr;
-      TileMatrix<T> c;   ///< QR: b tiles -> Qᵀb; LQ: padded L⁻¹b -> Q̃[y;0]
-      Matrix<T> b;       ///< LQ only: dense rhs, tiled after the trsm head
-      dag::TaskGraph apply_graph;
-      std::promise<Matrix<T>> promise;
-    };
-    const int worker_cap = normalize_threads(opt);
-    auto state = std::make_shared<Pipeline>();
-    std::future<Matrix<T>> future = state->promise.get_future();
-    bool lq = false;
-    try {
-      TILEDQR_CHECK(b.rows() == a.rows(), "solve_least_squares_async: rhs row mismatch");
-      auto tiles = TileMatrix<T>::from_dense(a, opt.nb);
-      lq = tiles.m() < tiles.n();
-      if (!opt.tree) opt.tree = choose_tree_for(tiles, worker_cap);
-      state->qr = TiledQr<T>::prepare(std::move(tiles), opt, cache_);
-      if (b.cols() > 0) {
-        if (lq) {
-          state->b = Matrix<T>(b.rows(), b.cols());
-          copy(b, state->b.view());
-        } else {
-          state->c = TileMatrix<T>::from_dense(b, opt.nb);
-        }
-      }
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    note_plan(state->qr.plan_);
-    runtime::ThreadPool* pool = &pool_;
-    const ApplyTrans trans = lq ? ApplyTrans::NoTrans : ApplyTrans::ConjTrans;
-    pool_.submit(
-        state->qr.plan_->graph,
-        [raw = state.get(), ib = opt.ib](std::int32_t idx) {
-          TiledQr<T>& qr = raw->qr;
-          run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, ib);
-        },
-        [state, pool, worker_cap, lq, trans](std::exception_ptr error) {
-          if (error) {
-            state->promise.set_exception(error);
-            return;
-          }
-          try {
-            const bool empty_rhs = lq ? state->b.cols() == 0 : state->c.n() == 0;
-            if (empty_rhs) {  // zero-column rhs: answer is n x 0
-              state->promise.set_value(Matrix<T>(state->qr.a_.n(), 0));
-              return;
-            }
-            if (lq)
-              state->c =
-                  state->qr.start_minimum_norm(ConstMatrixView<T>(state->b.view()));
-            state->apply_graph = state->qr.build_apply_graph(trans, state->c.nt());
-          } catch (...) {
-            state->promise.set_exception(std::current_exception());
-            return;
-          }
-          pool->submit(
-              state->apply_graph,
-              [raw = state.get(), trans](std::int32_t id) {
-                raw->qr.run_apply_task(raw->apply_graph.tasks[size_t(id)], trans, raw->c);
-              },
-              [state, lq](std::exception_ptr apply_error) {
-                if (apply_error) {
-                  state->promise.set_exception(apply_error);
-                  return;
-                }
-                try {
-                  state->promise.set_value(lq ? state->c.to_dense()
-                                              : state->qr.finish_least_squares(state->c));
-                } catch (...) {
-                  state->promise.set_exception(std::current_exception());
-                }
-              },
-              runtime::SchedulePriority::CriticalPath, worker_cap, state);
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, state, &state->qr.plan_->ranks);
-    return future;
+    const int cap = normalize_threads(opt);
+    return std::move(launch<T, Matrix<T>>(1, cap, [&](Request<T>& r, size_t) {
+                       auto tiles = TileMatrix<T>::from_dense(a, opt.nb);
+                       if (!opt.tree) opt.tree = choose_tree_for(tiles, cap);
+                       r.own(plan_request(std::move(tiles), opt));
+                       set_rhs(r, b, "solve_least_squares_async");
+                     }).front());
   }
 
   // ------------------------------------------------------------- auto mode --
@@ -522,10 +349,7 @@ class FactorSession {
   /// (the AutoOptions::threads semantics); 0 tunes for the whole pool.
   [[nodiscard]] tuner::TunedDecision decide_tree(int p, int q, int worker_cap = 0,
                                                  kernels::FactorKind factor =
-                                                     kernels::FactorKind::QR) {
-    int workers = worker_cap > 0 ? std::min(worker_cap, pool_.size()) : pool_.size();
-    return tuner_.decide(p, q, workers, cache_, &pool_, factor);
-  }
+                                                     kernels::FactorKind::QR);
 
   /// Just the chosen TreeConfig — useful to pin the auto decision into an
   /// explicit Options (e.g. for the async pipelines). (p, q) is the
@@ -533,9 +357,7 @@ class FactorSession {
   /// transposed grid (see choose_tree_for).
   [[nodiscard]] trees::TreeConfig choose_tree(int p, int q, int worker_cap = 0,
                                               kernels::FactorKind factor =
-                                                  kernels::FactorKind::QR) {
-    return decide_tree(p, q, worker_cap, factor).config;
-  }
+                                                  kernels::FactorKind::QR);
 
   /// Shape-routed choose_tree: wide inputs (m < n) tune on the transposed
   /// (reduction) grid under their LQ key, everything else on the grid as-is
@@ -562,201 +384,246 @@ class FactorSession {
   /// window, including the realized-critical-path breakdown joined against
   /// the DAG of the most recently planned factorization. Safe from any
   /// thread; reads only snapshots, never disturbs in-flight work.
-  [[nodiscard]] std::string health_report() const {
-    std::string out = obs::MetricsRegistry::global().snapshot().to_text();
-    const auto& tracer = obs::Tracer::instance();
-    if (tracer.enabled()) {
-      std::shared_ptr<const Plan> plan;
-      {
-        std::lock_guard<std::mutex> lock(last_plan_mu_);
-        plan = last_plan_;
-      }
-      const obs::ScheduleReport report =
-          plan ? obs::build_schedule_report(tracer, plan->graph, pool_.size())
-               : obs::build_schedule_report(tracer);
-      out += obs::format_schedule_report(report);
-    }
-    return out;
-  }
+  [[nodiscard]] std::string health_report() const;
 
  private:
   template <typename U>
   friend class FactorStream;
+  friend class FactorStreamBase;
+
+  // ------------------------------------------------------ dispatch path --
+
+  /// The stage a request's next (or running) graft executes.
+  enum class Stage : std::uint8_t { Factor, Apply };
+
+  struct RequestBase;
+  struct Graft;
+  struct OneShot;
+  using Parts = std::vector<std::shared_ptr<RequestBase>>;
+
+  /// Where a request's work goes. As a graft *target* it hands components
+  /// to the pool; as a request's *sink* it takes the request's next stage
+  /// and hears when its future resolves. One-shot calls use a OneShot; a
+  /// FactorStream's shared state is the sink of every request it admits.
+  struct Sink {
+    Sink() = default;
+    Sink(const Sink&) = delete;
+    Sink& operator=(const Sink&) = delete;
+    virtual ~Sink() = default;
+    /// Hands one graft's component to the pool; the graft is the keepalive.
+    virtual void dispatch(const std::shared_ptr<Graft>& g, std::function<void(std::int32_t)> body,
+                          std::function<void(std::exception_ptr)> done) = 0;
+    /// `req` finished a stage and built its next one.
+    virtual void next_stage(std::shared_ptr<RequestBase> req) = 0;
+    /// `req`'s future just resolved (value or error).
+    virtual void resolved(const RequestBase& /*req*/) noexcept {}
+    /// A dispatched component retired, or a graft failed before dispatch.
+    virtual void retired() {}
+  };
+
+  /// The scalar-independent face of a request: what graft() and the stream
+  /// policy see. Request<T> supplies the kernels and the future.
+  struct RequestBase {
+    explicit RequestBase(std::shared_ptr<Sink> s) : sink(std::move(s)) {}
+    RequestBase(const RequestBase&) = delete;
+    RequestBase& operator=(const RequestBase&) = delete;
+    virtual ~RequestBase() = default;
+    /// Runs one task of the current stage.
+    virtual void run(const dag::Task& task) = 0;
+    /// The stage-advance function, run by the last retiring task of a part
+    /// (or on the calling thread for a borrowed factorization, whose factor
+    /// stage is already done): resolves the future, or builds the next stage
+    /// and passes `self` to the sink.
+    virtual void advance(const std::shared_ptr<RequestBase>& self) = 0;
+    /// Fails the future and tells the sink.
+    virtual void fail(const std::exception_ptr& error) = 0;
+
+    std::shared_ptr<Sink> sink;
+    Stage stage = Stage::Factor;
+    /// The factor stage's plan and tree; null plan = a borrowed
+    /// factorization with no factor stage to run.
+    std::shared_ptr<const Plan> plan;
+    trees::TreeConfig tree;
+    dag::TaskGraph apply_graph;
+    /// Stream admission stamp (obs::now_ns): the sink turns it into an
+    /// end-to-end latency sample. 0 = not admitted by a stream.
+    std::int64_t admit_ns = 0;
+  };
+
+  /// One unit of session work on scalar type T. The promise alternative
+  /// says what resolves it: the factorization itself, an applied C
+  /// (apply_q_async), or a solution (the solve pipelines).
+  template <typename T>
+  struct Request final : RequestBase {
+    using RequestBase::RequestBase;
+
+    void own(TiledQr<T> q) {
+      owned = std::move(q);
+      qr = &owned;
+      plan = owned.plan_;
+      tree = *owned.opt_.tree;
+    }
+    [[nodiscard]] bool lq() const noexcept { return qr->kind() == kernels::FactorKind::LQ; }
+
+    template <typename R>
+    [[nodiscard]] std::future<R> open() {
+      return promise.template emplace<std::promise<R>>().get_future();
+    }
+    template <typename R>
+    void resolve(R value) {
+      std::get<std::promise<R>>(promise).set_value(std::move(value));
+      sink->resolved(*this);
+    }
+    void fail(const std::exception_ptr& error) override {
+      std::visit([&](auto& p) { p.set_exception(error); }, promise);
+      sink->resolved(*this);
+    }
+
+    void run(const dag::Task& task) override {
+      if (stage == Stage::Factor)
+        run_task_kernels(task, owned.a_, owned.t_, owned.t2_, owned.opt_.ib);
+      else
+        qr->run_apply_task(task, trans, c);
+    }
+
+    void advance(const std::shared_ptr<RequestBase>& self) override {
+      constexpr size_t kFactorization = 0, kApplied = 1, kSolution = 2;  // promise kinds
+      try {
+        if (stage == Stage::Apply) {
+          if (promise.index() == kApplied)
+            resolve(std::move(c));
+          else
+            resolve(lq() ? c.to_dense() : qr->finish_least_squares(c));
+          return;
+        }
+        if (promise.index() == kFactorization) {
+          resolve(std::move(owned));
+          return;
+        }
+        if (promise.index() == kSolution) {
+          if (lq() ? b.cols() == 0 : c.n() == 0) {  // zero-column rhs: the answer is n x 0
+            resolve(Matrix<T>(qr->factors().n(), 0));
+            return;
+          }
+          if (lq()) c = qr->start_minimum_norm(ConstMatrixView<T>(b.view()));
+        }
+        apply_graph = qr->build_apply_graph(trans, c.nt());
+        stage = Stage::Apply;
+        sink->next_stage(self);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+
+    TiledQr<T> owned;                ///< the factor stage's output, if this request runs it
+    const TiledQr<T>* qr = nullptr;  ///< &owned, or a caller-borrowed factorization
+    TileMatrix<T> c;  ///< apply operand: C, the tiled rhs (→ Qᵀb), or the padded L⁻¹b
+    /// Wide solves only: the dense rhs. The apply operand cannot be tiled
+    /// before the trsm head, which needs the finished L.
+    Matrix<T> b;
+    ApplyTrans trans = ApplyTrans::ConjTrans;  ///< Qᵀ for least squares, Q̃ for min norm
+    std::variant<std::promise<TiledQr<T>>, std::promise<TileMatrix<T>>, std::promise<Matrix<T>>>
+        promise;
+  };
+
+  /// Stages the right-hand side of a solve on `r` (whose factorization is
+  /// already set): tiled now for QR, kept dense for the LQ trsm head.
+  template <typename T>
+  static void set_rhs(Request<T>& r, ConstMatrixView<T> b, const char* what) {
+    TILEDQR_CHECK(b.rows() == r.qr->factors().m(), stringf("%s: rhs row mismatch", what));
+    if (r.lq()) {
+      r.trans = ApplyTrans::NoTrans;
+      r.b = Matrix<T>(b.rows(), b.cols());
+      copy(b, r.b.view());
+    } else if (b.cols() > 0) {
+      r.c = TileMatrix<T>::from_dense(b, r.qr->factors().nb());
+    }
+  }
+
+  /// The dispatch primitive: runs same-stage `parts` as ONE component on
+  /// `target` (their sink). A lone part runs its own graph with the plan's
+  /// cached ranks; parts on one plan run the cached homogeneous FusedPlan;
+  /// anything else runs the materialized union. Never throws: a graft that
+  /// cannot be built or dispatched fails its parts and retires at once.
+  void graft(Parts parts, Sink& target);
+
+  /// The one-shot target: each graft is one pool submission capped at
+  /// `cap` workers per part, dealt across the workers; next stages are
+  /// grafted at once.
+  [[nodiscard]] std::shared_ptr<Sink> one_shot(int cap);
+
+  /// The front end every FactorSession entry point shares: makes `count`
+  /// requests resolving to R on one one-shot target capped at `cap` and runs
+  /// `setup(request, i)` on each — a throw fails only that request's future.
+  /// Requests that own a factorization are grafted as one component;
+  /// borrowed ones have finished their factor stage and advance at once.
+  template <typename T, typename R, typename Setup>
+  [[nodiscard]] std::vector<std::future<R>> launch(size_t count, int cap, Setup&& setup) {
+    const std::shared_ptr<Sink> target = one_shot(cap);
+    std::vector<std::future<R>> futures;
+    futures.reserve(count);
+    Parts parts;
+    for (size_t i = 0; i < count; ++i) {
+      auto req = std::make_shared<Request<T>>(target);
+      futures.push_back(req->template open<R>());
+      try {
+        setup(*req, i);
+      } catch (...) {
+        req->fail(std::current_exception());
+        continue;
+      }
+      if (req->plan)
+        parts.push_back(std::move(req));
+      else
+        req->advance(req);
+    }
+    if (!parts.empty()) graft(std::move(parts), *target);
+    return futures;
+  }
+
+  /// Shared body of the submit_batch flavors: `make_tiles(i)` yields the
+  /// i-th input's TileMatrix (converting or moving). A disengaged tree
+  /// resolves through the autotuner per input shape (at the per-matrix
+  /// worker cap — the concurrency each matrix actually gets).
+  template <typename T, typename MakeTiles>
+  [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch_impl(size_t count,
+                                                                       MakeTiles&& make_tiles,
+                                                                       Options opt) {
+    const int cap = normalize_threads(opt);
+    return launch<T, TiledQr<T>>(count, cap, [&](Request<T>& r, size_t i) {
+      TileMatrix<T> tiles = make_tiles(i);
+      Options per = opt;
+      if (!per.tree) per.tree = choose_tree_for(tiles, cap);
+      r.own(plan_request(std::move(tiles), per));
+    });
+  }
+
+  /// Tile → plan for one request on the session cache (remembered for
+  /// health_report()).
+  template <typename T>
+  [[nodiscard]] TiledQr<T> plan_request(TileMatrix<T> tiles, const Options& opt) {
+    TiledQr<T> qr = TiledQr<T>::prepare(std::move(tiles), opt, cache_);
+    note_plan(qr.plan_);
+    return qr;
+  }
 
   /// Remembers the most recently prepared plan so health_report() can join
   /// the live trace against a real DAG. A shared_ptr copy: plans are
   /// immutable and cache-owned, so this pins at most one plan's memory.
-  void note_plan(const std::shared_ptr<const Plan>& plan) {
-    std::lock_guard<std::mutex> lock(last_plan_mu_);
-    last_plan_ = plan;
-  }
+  void note_plan(const std::shared_ptr<const Plan>& plan);
 
   /// The one cap rule: <= 0 (and anything above the pool) means "whole
   /// pool"; in-range caps pass through. Returned as a ThreadPool max_workers
   /// argument (0 = uncapped).
-  [[nodiscard]] int clamp_cap(int requested) const noexcept {
-    return requested <= 0 ? 0 : std::min(requested, pool_.size());
-  }
+  [[nodiscard]] int clamp_cap(int requested) const noexcept;
 
   /// Applies the cap rule to `opt.threads` in place (so the stored
   /// per-factorization thread count never exceeds the pool — a 0 cap and an
   /// over-pool cap leave identical state everywhere) and returns the
   /// ThreadPool worker cap.
-  [[nodiscard]] int normalize_threads(Options& opt) const noexcept {
-    const int cap = clamp_cap(opt.threads);
-    opt.threads = cap == 0 ? pool_.size() : cap;
-    return cap;
-  }
+  [[nodiscard]] int normalize_threads(Options& opt) const noexcept;
 
-  static void validate_auto_options(const AutoOptions& opt) {
-    TILEDQR_CHECK(opt.nb >= 1, stringf("AutoOptions::nb must be >= 1 (got %d)", opt.nb));
-    TILEDQR_CHECK(opt.ib >= 1, stringf("AutoOptions::ib must be >= 1 (got %d)", opt.ib));
-  }
-
-  /// One matrix of a fused batch: its prepared factorization, its promise,
-  /// and the per-subgraph sentinel counter that detects component completion
-  /// inside the fused submission.
-  template <typename T>
-  struct BatchPart {
-    explicit BatchPart(TiledQr<T> q) : qr(std::move(q)) {}
-    TiledQr<T> qr;
-    std::promise<TiledQr<T>> promise;
-    std::atomic<std::int32_t> remaining{0};
-  };
-
-  /// Shared state of one fused batch submission (held alive by the pool's
-  /// keepalive until the completion callback has run).
-  template <typename T>
-  struct BatchState {
-    std::deque<BatchPart<T>> parts;           // successfully prepared inputs
-    FusedPlan owned;                          // heterogeneous batches
-    std::shared_ptr<const FusedPlan> cached;  // homogeneous batches
-    const FusedPlan* fused = nullptr;
-    int ib = 0;
-  };
-
-  /// Shared prepare loop of the submit_batch flavors: `make_tiles(i)` yields
-  /// the i-th input's TileMatrix (converting or moving). An input whose
-  /// tiling/planning throws gets a pre-failed future; the rest proceed. A
-  /// disengaged tree resolves through the autotuner per input shape (at the
-  /// per-matrix worker cap — the concurrency each matrix actually gets).
-  template <typename T, typename MakeTiles>
-  [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch_impl(size_t count,
-                                                                       MakeTiles&& make_tiles,
-                                                                       Options opt) {
-    const int worker_cap = normalize_threads(opt);
-    std::vector<std::future<TiledQr<T>>> futures;
-    futures.reserve(count);
-    auto batch = std::make_shared<BatchState<T>>();
-    batch->ib = opt.ib;
-    for (size_t i = 0; i < count; ++i) {
-      try {
-        TileMatrix<T> tiles = make_tiles(i);
-        Options per = opt;
-        if (!per.tree) per.tree = choose_tree_for(tiles, worker_cap);
-        batch->parts.emplace_back(TiledQr<T>::prepare(std::move(tiles), per, cache_));
-        note_plan(batch->parts.back().qr.plan_);
-        futures.push_back(batch->parts.back().promise.get_future());
-      } catch (...) {
-        std::promise<TiledQr<T>> failed;
-        futures.push_back(failed.get_future());
-        failed.set_exception(std::current_exception());
-      }
-    }
-    launch_batch(std::move(batch), worker_cap);
-    return futures;
-  }
-
-  /// Fuses the prepared parts into one pool submission. The per-part
-  /// promises are fulfilled by per-subgraph sentinel counters as each
-  /// component drains; the single completion callback only mops up after a
-  /// cancelled (failed) submission.
-  template <typename T>
-  void launch_batch(std::shared_ptr<BatchState<T>> batch, int worker_cap) {
-    if (batch->parts.empty()) return;
-
-    if (batch->parts.size() == 1) {
-      // Nothing to fuse: submit the lone component directly (and skip
-      // caching a redundant single-part fusion).
-      BatchPart<T>& part = batch->parts.front();
-      pool_.submit(
-          part.qr.plan_->graph,
-          [raw = batch.get()](std::int32_t idx) {
-            TiledQr<T>& qr = raw->parts.front().qr;
-            run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, raw->ib);
-          },
-          [batch](std::exception_ptr error) {
-            BatchPart<T>& p = batch->parts.front();
-            if (error)
-              p.promise.set_exception(error);
-            else
-              p.promise.set_value(std::move(p.qr));
-          },
-          runtime::SchedulePriority::CriticalPath, worker_cap, batch, &part.qr.plan_->ranks);
-      return;
-    }
-
-    // One fused graph for the whole batch. Homogeneous batches (the common
-    // serving shape) reuse a cached fusion; mixed shapes fuse ad hoc.
-    const Plan* front_plan = batch->parts.front().qr.plan_.get();
-    bool homogeneous = true;
-    for (const auto& part : batch->parts)
-      if (part.qr.plan_.get() != front_plan) {
-        homogeneous = false;
-        break;
-      }
-    if (homogeneous) {
-      // Every part shares the front plan, so the front part's (normalized)
-      // tree is the fused-cache key for all of them.
-      batch->cached = cache_.get_fused(front_plan->graph.p, front_plan->graph.q,
-                                       *batch->parts.front().qr.options().tree,
-                                       int(batch->parts.size()), front_plan->graph.factor);
-      batch->fused = batch->cached.get();
-    } else {
-      std::vector<std::shared_ptr<const Plan>> plans;
-      plans.reserve(batch->parts.size());
-      for (const auto& part : batch->parts) plans.push_back(part.qr.plan_);
-      batch->owned = make_fused_plan(plans);
-      batch->fused = &batch->owned;
-    }
-    for (size_t i = 0; i < batch->parts.size(); ++i)
-      batch->parts[i].remaining.store(batch->fused->part_size(int(i)),
-                                      std::memory_order_relaxed);
-
-    // A per-submission cap applies to the whole fused graph, so scale the
-    // caller's per-matrix cap by the batch size to preserve the aggregate
-    // concurrency per-matrix submissions had (0 stays "whole pool"; the cap
-    // arrives pre-clamped, so the product cannot overflow).
-    if (worker_cap > 0)
-      worker_cap = int(std::min<long>(long(pool_.size()),
-                                      long(worker_cap) * long(batch->parts.size())));
-
-    pool_.submit(
-        batch->fused->component_graph(),
-        [raw = batch.get()](std::int32_t idx) {
-          const FusedPlan& fused = *raw->fused;
-          BatchPart<T>& part = raw->parts[size_t(fused.part_of(idx))];
-          TiledQr<T>& qr = part.qr;
-          run_task_kernels(fused.task(idx), qr.a_, qr.t_, qr.t2_, raw->ib);
-          // Per-subgraph sentinel: the last retiring task of this component
-          // fulfils its matrix's promise (acq_rel pairs with the other
-          // workers' decrements, so their tile writes are visible before the
-          // TiledQr is moved out).
-          if (part.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            part.promise.set_value(std::move(part.qr));
-        },
-        [batch](std::exception_ptr error) {
-          // Only reachable with unfinished parts when a task threw (the pool
-          // then cancels the rest of the submission).
-          for (auto& part : batch->parts)
-            if (part.remaining.load(std::memory_order_acquire) != 0)
-              part.promise.set_exception(
-                  error ? error
-                        : std::make_exception_ptr(Error("factorize_batch: cancelled")));
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, batch,
-        &batch->fused->component_ranks(), batch->fused->copies());
-  }
+  static void validate_auto_options(const AutoOptions& opt);
 
   /// Drains a submit_batch future set, preserving order. A single failure is
   /// rethrown verbatim; multiple failures rethrow an Error carrying the
@@ -767,31 +634,21 @@ class FactorSession {
     std::vector<TiledQr<T>> out;
     out.reserve(futures.size());
     std::exception_ptr first_error;
-    std::string first_message;
     size_t failed = 0;
     for (auto& f : futures) {
       try {
         out.push_back(f.get());
-      } catch (const std::exception& e) {
-        if (!first_error) {
-          first_error = std::current_exception();
-          first_message = e.what();
-        }
-        ++failed;
       } catch (...) {
-        if (!first_error) {
-          first_error = std::current_exception();
-          first_message = "unknown error";
-        }
+        if (!first_error) first_error = std::current_exception();
         ++failed;
       }
     }
-    if (failed > 1)
-      throw Error(stringf("%s [batch: %zu of %zu inputs failed; first error shown]",
-                          first_message.c_str(), failed, futures.size()));
-    if (first_error) std::rethrow_exception(first_error);
+    if (first_error) rethrow_batch_failure(first_error, failed, futures.size());
     return out;
   }
+
+  [[noreturn]] static void rethrow_batch_failure(const std::exception_ptr& first, size_t failed,
+                                                 size_t total);
 
   // Declaration order matters: the pool's destructor drains in-flight
   // submissions, which still reference cached plans — so the cache must
@@ -817,9 +674,9 @@ using QrSession = FactorSession;
 /// Streaming fusion handle (FactorSession::stream). push()/push_solve() return
 /// futures immediately; requests accumulate while the stream's in-flight
 /// work drains and every flush grafts them — coalesced into one fused
-/// component per plan via the session PlanCache's FusedPlan machinery — onto
-/// the live pool submission. The amount of fusion adapts to the arrival
-/// rate: an idle stream grafts a push immediately (latency), a busy stream
+/// component per plan through the session's graft primitive — onto the
+/// live pool submission. The amount of fusion adapts to the arrival rate:
+/// an idle stream grafts a push immediately (latency), a busy stream
 /// coalesces everything that arrived while it was busy (throughput).
 ///
 ///   auto stream = session.stream<double>();
@@ -849,8 +706,11 @@ using QrSession = FactorSession;
 /// the corker uncorks — so a thread that corks, pushes, and drains without
 /// uncorking first deadlocks itself, as does a corked Block-overflow pusher
 /// with no uncorking peer. All QoS defaults reproduce the pre-QoS policy.
-template <typename T>
-class FactorStream {
+///
+/// FactorStreamBase is the scalar-independent part of the handle: the QoS
+/// policy and the stream's shared state (qr_session.cpp). FactorStream<T>
+/// adds the typed pushes.
+class FactorStreamBase {
  public:
   struct Stats {
     long pushed = 0;      ///< requests accepted (push + push_solve)
@@ -866,37 +726,89 @@ class FactorStream {
                                 ///< (a spinning drain would grow this; bounded)
   };
 
-  FactorStream() = default;  ///< empty handle
-  FactorStream(FactorStream&&) noexcept = default;
+  FactorStreamBase() = default;  ///< empty handle
+  FactorStreamBase(FactorStreamBase&&) noexcept = default;
   /// Move-assign closes the overwritten stream first (re-opening a stream
   /// in place is normal server code); a defaulted move would orphan its
   /// shared state with no handle left to ever close it — leaking the
   /// deadline thread, the pool submission, and the live-stream gauge slot.
-  FactorStream& operator=(FactorStream&& other) noexcept {
-    if (this != &other) {
-      if (state_) {
-        try {
-          close();
-        } catch (...) {
-          // Same contract as the destructor: close() errors are only
-          // re-close races, never worth tearing down the process.
-        }
-      }
-      state_ = std::move(other.state_);
-    }
-    return *this;
-  }
-  FactorStream(const FactorStream&) = delete;
-  FactorStream& operator=(const FactorStream&) = delete;
+  FactorStreamBase& operator=(FactorStreamBase&& other) noexcept;
+  FactorStreamBase(const FactorStreamBase&) = delete;
+  FactorStreamBase& operator=(const FactorStreamBase&) = delete;
+  ~FactorStreamBase();
 
-  ~FactorStream() {
-    if (!state_) return;
-    try {
-      close();
-    } catch (...) {
-      // Destructor must not throw; close() errors are only re-close races.
-    }
-  }
+  /// Defers flushing: corked pushes accumulate (up to max_pending) so a
+  /// known burst grafts as one fused component. Idempotent. While corked,
+  /// the watermark, deadline, and drain() paths all leave the backlog alone
+  /// — only uncork()/flush()/max_pending release it.
+  void cork();
+
+  /// Re-enables flushing and grafts everything pending now.
+  void uncork();
+
+  /// Grafts all pending requests — corked or not: an explicit flush is the
+  /// caller's own uncorking — onto the live submission immediately.
+  void flush();
+
+  /// Grafts the uncorked backlog, then blocks until every request admitted
+  /// so far has resolved (including chained solve stages). The stream stays
+  /// open. Requests pushed concurrently with the drain may be waited on too.
+  /// A peer's corked backlog is NOT claimed — the burst grafts as the one
+  /// fused component cork() promised — so the drain parks on the retirement
+  /// condvar until the corker uncorks (no flush/wait spinning).
+  void drain();
+
+  /// Drains, then seals the stream: further pushes throw Error. Idempotent.
+  void close();
+
+  [[nodiscard]] Stats stats() const;
+
+  /// Ready-set generation of the underlying pool stream (components grafted).
+  [[nodiscard]] long generation() const;
+
+  /// The session-level live snapshot (FactorSession::health_report) from the
+  /// stream handle a server actually holds.
+  [[nodiscard]] std::string health_report() const;
+
+  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
+  explicit operator bool() const noexcept { return valid(); }
+
+ protected:
+  /// Validates `opts`, opens the pool stream, registers the metrics source,
+  /// and starts the deadline thread when flush_deadline > 0.
+  FactorStreamBase(FactorSession& session, FactorSession::StreamOptions opts);
+
+  /// Backpressure gate: every accepted request holds one `unresolved` slot
+  /// from admission until its user-facing future resolves. Returns null on
+  /// admission; with the Reject policy at the bound, returns the error the
+  /// caller must fail its future with (no slot taken). With Block, parks on
+  /// the retirement condvar until a slot frees. Throws on a closed stream
+  /// (including a close that lands while a Block-ed push waits).
+  [[nodiscard]] std::exception_ptr admit();
+
+  /// Adds an admitted, prepared request to the backlog and grafts the
+  /// backlog if the flush policy says so.
+  void enqueue(std::shared_ptr<FactorSession::RequestBase> req);
+
+  /// The sink of this stream's requests (its shared state).
+  [[nodiscard]] std::shared_ptr<FactorSession::Sink> sink() const;
+  [[nodiscard]] FactorSession& session() const;
+  /// Options for one pushed request; a disengaged tree is left for the
+  /// caller to tune at worker_cap().
+  [[nodiscard]] Options request_options() const;
+  [[nodiscard]] int worker_cap() const;
+
+ private:
+  struct State;
+  /// close() for the destructor and move-assign, which must not throw.
+  void close_quietly() noexcept;
+  std::shared_ptr<State> state_;
+};
+
+template <typename T>
+class FactorStream : public FactorStreamBase {
+ public:
+  FactorStream() = default;  ///< empty handle
 
   /// Factorize a dense matrix (copied into tiled layout here, on the
   /// calling thread). Returns a future that resolves when this request's
@@ -908,726 +820,74 @@ class FactorStream {
   /// or rejected push allocates nothing.
   [[nodiscard]] std::future<TiledQr<T>> push(ConstMatrixView<T> a) {
     TILEDQR_CHECK(valid(), "FactorStream::push: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    std::future<TiledQr<T>> future = req->promise.get_future();
-    if (std::exception_ptr rejected = admit()) {
-      req->promise.set_exception(std::move(rejected));
-      return future;
-    }
-    req->admit_ns = obs::now_ns();
-    try {
-      req->qr = prepare(TileMatrix<T>::from_dense(a, state_->opts.nb));
-    } catch (...) {
-      fail_request(state_, *req, std::current_exception());
-      return future;
-    }
-    enqueue(std::move(req));
-    return future;
+    return push_request<TiledQr<T>>([&](Req& r, const Options& opt) {
+      r.own(prepare(TileMatrix<T>::from_dense(a, opt.nb), opt));
+    });
   }
 
   /// Pre-tiled flavor (consumed); the input keeps its own tile size.
   [[nodiscard]] std::future<TiledQr<T>> push(TileMatrix<T> a) {
     TILEDQR_CHECK(valid(), "FactorStream::push: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    std::future<TiledQr<T>> future = req->promise.get_future();
-    if (std::exception_ptr rejected = admit()) {
-      req->promise.set_exception(std::move(rejected));
-      return future;
-    }
-    req->admit_ns = obs::now_ns();
-    try {
-      req->qr = prepare(std::move(a));
-    } catch (...) {
-      fail_request(state_, *req, std::current_exception());
-      return future;
-    }
-    enqueue(std::move(req));
-    return future;
+    return push_request<TiledQr<T>>(
+        [&](Req& r, const Options& opt) { r.own(prepare(std::move(a), opt)); });
   }
 
   /// Full solve pipeline for one request: factorize A, then chain the solve
   /// stages into the same stream — Qᵀb apply + trsm for tall A, trsm head +
   /// apply-Q̃ (minimum norm) for wide A. Apply stages of concurrent solves
   /// coalesce: each flush grafts every ready apply graph as one fused
-  /// component (ROADMAP's "batched solve"). Results are bitwise identical to
+  /// component. Results are bitwise identical to
   /// FactorSession::solve_least_squares_async(a, b, opt) with the same tree.
   /// Backpressure treats a solve as one request from admission until its
   /// solution future resolves (the chained stages keep the slot).
   [[nodiscard]] std::future<Matrix<T>> push_solve(ConstMatrixView<T> a, ConstMatrixView<T> b) {
     TILEDQR_CHECK(valid(), "FactorStream::push_solve: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    req->solve = true;
-    std::future<Matrix<T>> future = req->solve_promise.get_future();
+    return push_request<Matrix<T>>([&](Req& r, const Options& opt) {
+      r.own(prepare(TileMatrix<T>::from_dense(a, opt.nb), opt));
+      FactorSession::set_rhs(r, b, "push_solve");
+    });
+  }
+
+ private:
+  friend class FactorSession;
+  using Req = FactorSession::Request<T>;
+
+  FactorStream(FactorSession& session, FactorSession::StreamOptions opts)
+      : FactorStreamBase(session, std::move(opts)) {}
+
+  /// Shared body of the pushes: admission, then `setup` prepares the
+  /// request (a throw fails only its future), then it joins the backlog.
+  template <typename R, typename Setup>
+  [[nodiscard]] std::future<R> push_request(Setup&& setup) {
+    auto req = std::make_shared<Req>(sink());
+    std::future<R> future = req->template open<R>();
     if (std::exception_ptr rejected = admit()) {
-      req->solve_promise.set_exception(std::move(rejected));
+      // Refused before admission: no slot to release, so no sink hook.
+      std::get<std::promise<R>>(req->promise).set_exception(std::move(rejected));
       return future;
     }
     req->admit_ns = obs::now_ns();
     try {
-      TILEDQR_CHECK(b.rows() == a.rows(), "push_solve: rhs row mismatch");
-      req->qr = prepare(TileMatrix<T>::from_dense(a, state_->opts.nb));
-      if (req->qr.kind() == kernels::FactorKind::LQ) {
-        req->apply_trans = ApplyTrans::NoTrans;
-        req->b = Matrix<T>(b.rows(), b.cols());
-        copy(b, req->b.view());
-      } else if (b.cols() > 0) {
-        req->c = TileMatrix<T>::from_dense(b, state_->opts.nb);
-      }
+      setup(*req, request_options());
     } catch (...) {
-      fail_request(state_, *req, std::current_exception());
+      req->fail(std::current_exception());
       return future;
     }
     enqueue(std::move(req));
     return future;
   }
 
-  /// Defers flushing: corked pushes accumulate (up to max_pending) so a
-  /// known burst grafts as one fused component. Idempotent. While corked,
-  /// the watermark, deadline, and drain() paths all leave the backlog alone
-  /// — only uncork()/flush()/max_pending release it.
-  void cork() {
-    TILEDQR_CHECK(valid(), "FactorStream::cork: moved-from or empty stream handle");
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      state_->corked = true;
-    }
-    state_->retire_cv.notify_all();
-  }
-
-  /// Re-enables flushing and grafts everything pending now.
-  void uncork() {
-    TILEDQR_CHECK(valid(), "FactorStream::uncork: moved-from or empty stream handle");
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      state_->corked = false;
-    }
-    state_->retire_cv.notify_all();
-    flush();
-  }
-
-  /// Grafts all pending requests — corked or not: an explicit flush is the
-  /// caller's own uncorking — onto the live submission immediately.
-  void flush() {
-    TILEDQR_CHECK(valid(), "FactorStream::flush: moved-from or empty stream handle");
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      groups = take_groups_locked(*state_);
-      if (groups.empty()) ++state_->empty_flushes;
-      applies = take_applies_locked(*state_);
-    }
-    graft_applies(state_, std::move(applies));
-    graft(state_, std::move(groups));
-  }
-
-  /// Grafts the uncorked backlog, then blocks until every request admitted
-  /// so far has resolved (including chained solve stages). The stream stays
-  /// open. Requests pushed concurrently with the drain may be waited on too.
-  /// A peer's corked backlog is NOT claimed — the burst grafts as the one
-  /// fused component cork() promised — so the drain parks on the retirement
-  /// condvar until the corker uncorks (no flush/wait spinning).
-  void drain() {
-    TILEDQR_CHECK(valid(), "FactorStream::drain: moved-from or empty stream handle");
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      if (!state_->corked) {
-        groups = take_groups_locked(*state_);
-        // Count only claims actually attempted: a corked skip is deference,
-        // not an empty flush.
-        if (groups.empty()) ++state_->empty_flushes;
-      }
-      applies = take_applies_locked(*state_);
-    }
-    graft_applies(state_, std::move(applies));
-    graft(state_, std::move(groups));
-    std::unique_lock<std::mutex> lock(state_->mu);
-    state_->retire_cv.wait(lock, [&] { return state_->unresolved == 0; });
-  }
-
-  /// Drains, then seals the stream: further pushes throw Error. Idempotent.
-  void close() {
-    TILEDQR_CHECK(valid(), "FactorStream::close: moved-from or empty stream handle");
-    std::thread deadline_reaper;
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      state_->closed = true;
-      state_->corked = false;
-      deadline_reaper.swap(state_->deadline_thread);
-    }
-    // Wake Block-ed pushers (they observe closed and throw) and the deadline
-    // thread (it observes closed and exits; joined before the drain so no
-    // grafting races the seal).
-    state_->retire_cv.notify_all();
-    if (deadline_reaper.joinable()) deadline_reaper.join();
-    drain();
-    if (!state_->stream.closed()) state_->stream.close();
-  }
-
-  [[nodiscard]] Stats stats() const {
-    TILEDQR_CHECK(valid(), "FactorStream::stats: moved-from or empty stream handle");
-    std::lock_guard<std::mutex> lock(state_->mu);
-    Stats s;
-    s.pushed = state_->pushed;
-    s.components = state_->stream.generation();
-    s.fused_requests = state_->fused_requests.load(std::memory_order_relaxed);
-    s.pending = long(state_->pending.size());
-    s.unresolved = state_->unresolved;
-    s.peak_unresolved = state_->peak_unresolved;
-    s.rejected = state_->rejected;
-    s.deadline_flushes = state_->deadline_flushes;
-    s.empty_flushes = state_->empty_flushes;
-    return s;
-  }
-
-  /// Ready-set generation of the underlying pool stream (components grafted).
-  [[nodiscard]] long generation() const {
-    TILEDQR_CHECK(valid(), "FactorStream::generation: moved-from or empty stream handle");
-    return state_->stream.generation();
-  }
-
-  /// The session-level live snapshot (FactorSession::health_report) from the
-  /// stream handle a server actually holds.
-  [[nodiscard]] std::string health_report() const {
-    TILEDQR_CHECK(valid(), "FactorStream::health_report: moved-from or empty stream handle");
-    return state_->session->health_report();
-  }
-
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
-  explicit operator bool() const noexcept { return valid(); }
-
- private:
-  friend class FactorSession;
-
-  /// One pushed request: its prepared factorization, sentinel counter within
-  /// its graft, and (for solves) the rhs tiles + chained apply graph.
-  struct Request {
-    TiledQr<T> qr;
-    std::promise<TiledQr<T>> promise;
-    std::atomic<std::int32_t> remaining{0};
-    /// Sentinel counter for the fused *apply* graft — deliberately separate
-    /// from `remaining`: a peer's flush can claim and graft this request's
-    /// apply stage between the factor part's last task body and the factor
-    /// component's completion callback, so reusing one counter would let
-    /// that callback mistake a live apply count for an unfinished factor
-    /// part and fail an already-chained solve.
-    std::atomic<std::int32_t> apply_remaining{0};
-    bool solve = false;
-    TileMatrix<T> c;
-    /// Wide (LQ) solves only: the dense rhs. The apply operand `c` cannot be
-    /// tiled at push time — it is the padded L⁻¹b in the transposed-world
-    /// tiling, which exists only after the factorization's trsm head.
-    Matrix<T> b;
-    /// Transposed-world op for the chained apply stage: Qᵀ (ConjTrans) for
-    /// least squares, Q̃ (NoTrans) for the minimum-norm solve.
-    ApplyTrans apply_trans = ApplyTrans::ConjTrans;
-    dag::TaskGraph apply_graph;
-    std::promise<Matrix<T>> solve_promise;
-    /// Admission timestamp (obs::now_ns), stamped once a push holds its
-    /// backpressure slot; request_resolved turns it into the stream's
-    /// end-to-end latency sample. 0 = never admitted (no sample).
-    std::int64_t admit_ns = 0;
-  };
-
-  /// One graft: requests sharing a plan, fused when there is more than one.
-  struct Group {
-    std::vector<std::shared_ptr<Request>> reqs;
-    std::shared_ptr<const FusedPlan> fused;  // engaged iff reqs.size() > 1
-  };
-
-  /// Shared stream state: worker completion callbacks outlive the handle's
-  /// stack frames, so everything they touch lives here.
-  struct State {
-    FactorSession* session = nullptr;
-    runtime::ThreadPool::Stream stream;
-    FactorSession::StreamOptions opts;
-    int worker_cap = 0;  ///< pre-clamped; the tuner keys on this concurrency
-
-    mutable std::mutex mu;
-    /// The retirement condvar: notified whenever a request resolves, a
-    /// grafted component retires, or the cork/closed flags flip. Waiters:
-    /// drain() (unresolved == 0), Block-overflow pushers (a slot freed),
-    /// and the flush_deadline thread (a backlog to watch appeared).
-    std::condition_variable retire_cv;
-    bool corked = false;
-    bool closed = false;
-    std::deque<std::shared_ptr<Request>> pending;
-    /// Solve requests whose factorization finished and whose apply graph is
-    /// built: instead of each grafting its own component, they accumulate
-    /// here and every flush point grafts them as ONE fused component
-    /// (fuse_task_graphs), so a burst of streamed solves pays one graft for
-    /// all its apply stages.
-    std::deque<std::shared_ptr<Request>> ready_applies;
-    long inflight = 0;  ///< grafted components not yet retired
-    long pushed = 0;
-    long unresolved = 0;  ///< admitted requests whose future hasn't resolved
-    long peak_unresolved = 0;
-    long rejected = 0;
-    long deadline_flushes = 0;
-    long empty_flushes = 0;
-    /// When the pending backlog last went empty -> non-empty; the deadline
-    /// thread grafts at oldest_pending + flush_deadline.
-    std::chrono::steady_clock::time_point oldest_pending{};
-    /// Engaged only when flush_deadline > 0; joined by close().
-    std::thread deadline_thread;
-    std::atomic<long> fused_requests{0};  ///< bumped outside mu (graft)
-    /// End-to-end request latency (admission -> future resolution), exported
-    /// through the registry source below. Atomic; recorded outside mu.
-    obs::Histogram latency;
-    /// Registry source "stream.<label>" / "stream<N>". Declared last so it
-    /// deregisters (freezing the stream's final samples as retired metrics)
-    /// before any field its callback reads is destroyed.
-    obs::MetricsRegistry::SourceHandle metrics_source;
-  };
-
-  FactorStream(FactorSession* session, FactorSession::StreamOptions opts) : state_(std::make_shared<State>()) {
-    TILEDQR_CHECK(opts.nb >= 1, stringf("StreamOptions::nb must be >= 1 (got %d)", opts.nb));
-    TILEDQR_CHECK(opts.ib >= 1, stringf("StreamOptions::ib must be >= 1 (got %d)", opts.ib));
-    TILEDQR_CHECK(opts.max_pending >= 1, "StreamOptions::max_pending must be >= 1");
-    TILEDQR_CHECK(opts.max_queued >= 0,
-                  stringf("StreamOptions::max_queued must be >= 0, 0 = unbounded (got %d)",
-                          opts.max_queued));
-    TILEDQR_CHECK(opts.low_watermark >= 0,
-                  stringf("StreamOptions::low_watermark must be >= 0 (got %d)",
-                          opts.low_watermark));
-    TILEDQR_CHECK(opts.flush_deadline.count() >= 0,
-                  "StreamOptions::flush_deadline must be >= 0, 0 = no deadline");
-    state_->session = session;
-    state_->worker_cap = session->clamp_cap(opts.threads);
-    state_->opts = std::move(opts);
-    state_->stream =
-        session->pool_.open_stream(state_->worker_cap, state_->opts.affinity_hint);
-    auto& registry = obs::MetricsRegistry::global();
-    // Raw State pointer, not the shared_ptr: the handle lives inside State,
-    // so a shared capture would be a self-cycle. It deregisters first in
-    // State's destruction (declared last), while every field here is alive.
-    state_->metrics_source = registry.register_source(
-        state_->opts.label.empty() ? registry.unique_label("stream")
-                                   : "stream." + state_->opts.label,
-        [s = state_.get()](std::vector<obs::Sample>& out) {
-          std::lock_guard<std::mutex> lock(s->mu);
-          out.push_back({"pushed", double(s->pushed)});
-          out.push_back({"components", double(s->stream.generation())});
-          out.push_back({"fused_requests",
-                         double(s->fused_requests.load(std::memory_order_relaxed))});
-          out.push_back({"pending", double(s->pending.size())});
-          out.push_back({"unresolved", double(s->unresolved)});
-          out.push_back({"peak_unresolved", double(s->peak_unresolved)});
-          out.push_back({"rejected", double(s->rejected)});
-          out.push_back({"deadline_flushes", double(s->deadline_flushes)});
-          out.push_back({"empty_flushes", double(s->empty_flushes)});
-          s->latency.append_samples("latency", out);
-        });
-    if (state_->opts.flush_deadline.count() > 0)
-      state_->deadline_thread = std::thread(&FactorStream::deadline_main, state_);
-  }
-
-  /// Body of the per-stream deadline thread (flush_deadline > 0): sleeps
-  /// until there is an uncorked backlog to watch, then grafts it once it has
-  /// aged past the deadline. Exits when the stream closes (close() joins it
-  /// before sealing, so a final deadline graft cannot race the seal).
-  static void deadline_main(std::shared_ptr<State> state) {
-    std::unique_lock<std::mutex> lock(state->mu);
-    while (!state->closed) {
-      if (state->pending.empty() || state->corked) {
-        state->retire_cv.wait(lock, [&] {
-          return state->closed || (!state->pending.empty() && !state->corked);
-        });
-        continue;
-      }
-      const auto due = state->oldest_pending + state->opts.flush_deadline;
-      if (std::chrono::steady_clock::now() < due) {
-        state->retire_cv.wait_until(lock, due);
-        continue;  // re-evaluate: the backlog may have been claimed meanwhile
-      }
-      auto groups = take_groups_locked(*state);
-      ++state->deadline_flushes;
-      lock.unlock();
-      graft(state, std::move(groups));
-      lock.lock();
-    }
-  }
-
-  /// Backpressure gate: every accepted request holds one `unresolved` slot
-  /// from admission until its user-facing future resolves. Returns null on
-  /// admission; with the Reject policy at the bound, returns the error the
-  /// caller must fail its future with (no slot taken). With Block, parks on
-  /// the retirement condvar until a slot frees. Throws on a closed stream
-  /// (including a close that lands while a Block-ed push waits).
-  [[nodiscard]] std::exception_ptr admit() {
-    State& s = *state_;
-    std::unique_lock<std::mutex> lock(s.mu);
-    TILEDQR_CHECK(!s.closed, "FactorStream: push on a closed stream");
-    if (s.opts.max_queued > 0 && s.unresolved >= long(s.opts.max_queued)) {
-      if (s.opts.overflow == FactorSession::StreamOverflow::Reject) {
-        ++s.rejected;
-        return std::make_exception_ptr(Error(
-            stringf("FactorStream: backpressure reject — stream already holds max_queued=%d "
-                    "unresolved requests (StreamOptions::overflow = Reject)",
-                    s.opts.max_queued)));
-      }
-      s.retire_cv.wait(lock,
-                       [&] { return s.closed || s.unresolved < long(s.opts.max_queued); });
-      TILEDQR_CHECK(!s.closed, "FactorStream: push on a closed stream");
-    }
-    ++s.unresolved;
-    s.peak_unresolved = std::max(s.peak_unresolved, s.unresolved);
-    return nullptr;
-  }
-
-  /// A request's user-facing future resolved (value or error): record its
-  /// end-to-end latency, release its backpressure slot, and wake drain()ers
-  /// / Block-ed pushers.
-  static void request_resolved(const std::shared_ptr<State>& state, const Request& req) {
-    if (req.admit_ns > 0) state->latency.record_ns(obs::now_ns() - req.admit_ns);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      --state->unresolved;
-    }
-    state->retire_cv.notify_all();
-  }
-
   /// Tile → plan, resolving a disengaged tree through the autotuner for this
   /// input's shape at the stream's worker cap.
-  [[nodiscard]] TiledQr<T> prepare(TileMatrix<T> tiles) {
-    Options opt;
-    opt.nb = state_->opts.nb;
-    opt.ib = state_->opts.ib;
-    opt.threads = state_->worker_cap == 0 ? state_->session->pool_.size() : state_->worker_cap;
-    opt.tree = state_->opts.tree
-                   ? *state_->opts.tree
-                   : state_->session->choose_tree_for(tiles, state_->worker_cap);
-    TiledQr<T> qr = TiledQr<T>::prepare(std::move(tiles), opt, state_->session->cache_);
-    state_->session->note_plan(qr.plan_);
-    return qr;
+  [[nodiscard]] TiledQr<T> prepare(TileMatrix<T> tiles, Options opt) {
+    if (!opt.tree) opt.tree = session().choose_tree_for(tiles, worker_cap());
+    return session().plan_request(std::move(tiles), opt);
   }
-
-  void enqueue(std::shared_ptr<Request> req) {
-    std::vector<Group> groups;
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      if (state_->closed) {
-        // Push-vs-close race: the close won. Give the admission slot back
-        // before reporting the caller bug, so the closing drain terminates.
-        --state_->unresolved;
-        state_->retire_cv.notify_all();
-        throw Error("FactorStream: push on a closed stream");
-      }
-      if (state_->pending.empty())
-        state_->oldest_pending = std::chrono::steady_clock::now();
-      state_->pending.push_back(std::move(req));
-      ++state_->pushed;
-      // Flush when the in-flight window fell to the watermark (default 0:
-      // the stream ran dry with nothing to hide behind) or the coalescing
-      // bound is hit; a corked stream defers the former but still bounds
-      // its memory with the latter.
-      const bool full = long(state_->pending.size()) >= long(state_->opts.max_pending);
-      if (full || (!state_->corked && state_->inflight <= long(state_->opts.low_watermark)))
-        groups = take_groups_locked(*state_);
-    }
-    // Only a request that actually stayed pending re-arms the deadline
-    // thread's watch; a push that grafted immediately left nothing to age.
-    if (groups.empty() && state_->opts.flush_deadline.count() > 0)
-      state_->retire_cv.notify_all();
-    graft(state_, std::move(groups));
-  }
-
-  /// Groups the pending requests by plan — one graft per distinct plan, so
-  /// a mixed-shape stream still fuses everything of each shape — and
-  /// accounts them in flight. Caller holds s.mu; the actual appends happen
-  /// outside the lock in graft(). Linear scan: pending is bounded by
-  /// max_pending and distinct plans are few.
-  /// Claims the ready-apply queue for one fused graft, accounting it in
-  /// flight (a single component regardless of how many solves it carries).
-  /// Caller holds s.mu.
-  [[nodiscard]] static std::deque<std::shared_ptr<Request>> take_applies_locked(State& s) {
-    std::deque<std::shared_ptr<Request>> applies;
-    if (!s.ready_applies.empty()) {
-      applies.swap(s.ready_applies);
-      ++s.inflight;
-    }
-    return applies;
-  }
-
-  [[nodiscard]] static std::vector<Group> take_groups_locked(State& s) {
-    std::vector<Group> groups;
-    if (s.pending.empty()) return groups;
-    for (auto& req : s.pending) {
-      Group* home = nullptr;
-      for (auto& g : groups)
-        if (g.reqs.front()->qr.plan_.get() == req->qr.plan_.get()) {
-          home = &g;
-          break;
-        }
-      if (!home) home = &groups.emplace_back();
-      home->reqs.push_back(std::move(req));
-    }
-    s.pending.clear();
-    s.inflight += long(groups.size());
-    return groups;
-  }
-
-  /// Appends one component per group onto the live submission. Fused plans
-  /// are resolved here, outside the stream mutex (planning a new (shape,
-  /// count) fusion must not block pushes); a group whose fusion fails to
-  /// build — or whose append is refused (close race) — fails only its own
-  /// requests, and retires its inflight slot so nothing pended behind it is
-  /// stranded and close()'s drain still terminates.
-  static void graft(const std::shared_ptr<State>& state, std::vector<Group> groups) {
-    for (auto& g : groups) {
-      if (g.reqs.size() > 1) {
-        try {
-          const Plan& plan = *g.reqs.front()->qr.plan_;
-          g.fused = state->session->cache_.get_fused(plan.graph.p, plan.graph.q,
-                                                     *g.reqs.front()->qr.options().tree,
-                                                     int(g.reqs.size()), plan.graph.factor);
-          state->fused_requests.fetch_add(long(g.reqs.size()), std::memory_order_relaxed);
-        } catch (...) {
-          for (auto& req : g.reqs) fail_request(state, *req, std::current_exception());
-          // Account the failed graft like a retired one — including the
-          // backlog check, so a request pended behind this group is not
-          // stranded when the stream went otherwise idle.
-          on_component_retired(state);
-          continue;
-        }
-      }
-      if (g.reqs.size() == 1) {
-        auto req = g.reqs.front();
-        try {
-          state->stream.append(
-              req->qr.plan_->graph,
-              [raw = req.get()](std::int32_t idx) {
-                TiledQr<T>& qr = raw->qr;
-                run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_,
-                                 qr.opt_.ib);
-              },
-              [state, req](std::exception_ptr error) {
-                if (error)
-                  fail_request(state, *req, error);
-                else
-                  finish_request(state, req);
-                on_component_retired(state);
-              },
-              req, &req->qr.plan_->ranks);
-        } catch (...) {
-          fail_request(state, *req, std::current_exception());
-          on_component_retired(state);
-        }
-        continue;
-      }
-      auto group = std::make_shared<Group>(std::move(g));
-      for (size_t i = 0; i < group->reqs.size(); ++i)
-        group->reqs[i]->remaining.store(group->fused->part_size(int(i)),
-                                        std::memory_order_relaxed);
-      try {
-        state->stream.append(
-            group->fused->component_graph(),
-            [state, raw = group.get()](std::int32_t idx) {
-              const FusedPlan& fused = *raw->fused;
-              const size_t part = size_t(fused.part_of(idx));
-              Request& req = *raw->reqs[part];
-              TiledQr<T>& qr = req.qr;
-              run_task_kernels(fused.task(idx), qr.a_, qr.t_, qr.t2_, qr.opt_.ib);
-              // Per-request sentinel, exactly the batch-fusion machinery: the
-              // last retiring task of this part resolves its request early.
-              if (req.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-                finish_request(state, raw->reqs[part]);
-            },
-            [state, group](std::exception_ptr error) {
-              // Unfinished parts only exist when a task threw (the component
-              // was cancelled); resolved parts already kept their values.
-              for (auto& req : group->reqs)
-                if (req->remaining.load(std::memory_order_acquire) != 0)
-                  fail_request(state, *req,
-                               error ? error
-                                     : std::make_exception_ptr(
-                                           Error("FactorStream: component cancelled")));
-              on_component_retired(state);
-            },
-            group, &group->fused->component_ranks(), group->fused->copies());
-      } catch (...) {
-        auto error = std::current_exception();
-        for (auto& req : group->reqs) fail_request(state, *req, error);
-        on_component_retired(state);
-      }
-    }
-  }
-
-  /// A request's factorization finished (sentinel or single-component
-  /// completion). Plain pushes resolve; solves build their apply stage (for
-  /// wide inputs the L⁻¹b trsm head runs here, on the worker that got here)
-  /// and queue it on ready_applies — the next flush point grafts every
-  /// queued apply as one fused component. Progress is guaranteed without a
-  /// flush here: the factor component this request rode in on has not
-  /// retired yet, and its retirement callback flushes the queue.
-  static void finish_request(const std::shared_ptr<State>& state,
-                             const std::shared_ptr<Request>& req) {
-    if (!req->solve) {
-      req->promise.set_value(std::move(req->qr));
-      request_resolved(state, *req);
-      return;
-    }
-    try {
-      const bool lq = req->qr.kind() == kernels::FactorKind::LQ;
-      if (lq ? req->b.cols() == 0 : req->c.n() == 0) {  // zero-column rhs
-        req->solve_promise.set_value(Matrix<T>(req->qr.a_.n(), 0));
-        request_resolved(state, *req);
-        return;
-      }
-      if (lq) req->c = req->qr.start_minimum_norm(ConstMatrixView<T>(req->b.view()));
-      req->apply_graph = req->qr.build_apply_graph(req->apply_trans, req->c.nt());
-    } catch (...) {
-      req->solve_promise.set_exception(std::current_exception());
-      request_resolved(state, *req);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->ready_applies.push_back(req);
-  }
-
-  /// The apply stage of one solve finished: the trsm tail (QR) or the dense
-  /// gather (LQ — the trsm already ran before the apply) resolves the
-  /// solution future.
-  static void finish_apply(const std::shared_ptr<State>& state,
-                           const std::shared_ptr<Request>& req) {
-    try {
-      req->solve_promise.set_value(req->apply_trans == ApplyTrans::NoTrans
-                                       ? req->c.to_dense()
-                                       : req->qr.finish_least_squares(req->c));
-    } catch (...) {
-      req->solve_promise.set_exception(std::current_exception());
-    }
-    request_resolved(state, *req);
-  }
-
-  /// Grafts the claimed ready_applies as ONE component: a single apply graph
-  /// when one solve is ready, otherwise the rank-carrying disjoint union
-  /// (fuse_task_graphs) of every queued apply graph, with per-request
-  /// sentinels resolving each solution as its part drains. The caller
-  /// already accounted the graft in `inflight`. Safe even though the factor
-  /// components may not have retired yet: the pool stream admits appends
-  /// from task bodies and completion callbacks.
-  static void graft_applies(const std::shared_ptr<State>& state,
-                            std::deque<std::shared_ptr<Request>> applies) {
-    if (applies.empty()) return;
-    if (applies.size() == 1) {
-      auto req = applies.front();
-      try {
-        state->stream.append(
-            req->apply_graph,
-            [raw = req.get()](std::int32_t id) {
-              raw->qr.run_apply_task(raw->apply_graph.tasks[size_t(id)], raw->apply_trans,
-                                     raw->c);
-            },
-            [state, req](std::exception_ptr error) {
-              if (error)
-                fail_request(state, *req, error);
-              else
-                finish_apply(state, req);
-              on_component_retired(state);
-            },
-            req);
-      } catch (...) {
-        // Close race: the pool stream refused the stage. Fail the solve and
-        // retire the phantom graft, or the inflight/unresolved accounting
-        // leaks and the request's future never resolves.
-        fail_request(state, *req, std::current_exception());
-        on_component_retired(state);
-      }
-      return;
-    }
-    struct ApplyGroup {
-      std::vector<std::shared_ptr<Request>> reqs;
-      FusedPlan fused;
-    };
-    auto group = std::make_shared<ApplyGroup>();
-    group->reqs.assign(std::make_move_iterator(applies.begin()),
-                       std::make_move_iterator(applies.end()));
-    try {
-      std::vector<const dag::TaskGraph*> graphs;
-      graphs.reserve(group->reqs.size());
-      for (const auto& req : group->reqs) graphs.push_back(&req->apply_graph);
-      group->fused = fuse_task_graphs(graphs);
-    } catch (...) {
-      auto error = std::current_exception();
-      for (auto& req : group->reqs) fail_request(state, *req, error);
-      on_component_retired(state);
-      return;
-    }
-    for (size_t i = 0; i < group->reqs.size(); ++i)
-      group->reqs[i]->apply_remaining.store(group->fused.part_size(int(i)),
-                                            std::memory_order_relaxed);
-    try {
-      state->stream.append(
-          group->fused.component_graph(),
-          [state, raw = group.get()](std::int32_t idx) {
-            const FusedPlan& fused = raw->fused;
-            const size_t part = size_t(fused.part_of(idx));
-            Request& req = *raw->reqs[part];
-            req.qr.run_apply_task(fused.task(idx), req.apply_trans, req.c);
-            // Per-request sentinel, same machinery as the factor grafts: the
-            // last retiring apply task of this part resolves its solution.
-            if (req.apply_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-              finish_apply(state, raw->reqs[part]);
-          },
-          [state, group](std::exception_ptr error) {
-            for (auto& req : group->reqs)
-              if (req->apply_remaining.load(std::memory_order_acquire) != 0)
-                fail_request(state, *req,
-                             error ? error
-                                   : std::make_exception_ptr(
-                                         Error("FactorStream: component cancelled")));
-            on_component_retired(state);
-          },
-          group, &group->fused.component_ranks());
-    } catch (...) {
-      auto error = std::current_exception();
-      for (auto& req : group->reqs) fail_request(state, *req, error);
-      on_component_retired(state);
-    }
-  }
-
-  /// Fails a request's user-facing future and releases its admission slot.
-  static void fail_request(const std::shared_ptr<State>& state, Request& req,
-                           std::exception_ptr error) {
-    if (req.solve)
-      req.solve_promise.set_exception(std::move(error));
-    else
-      req.promise.set_exception(std::move(error));
-    request_resolved(state, req);
-  }
-
-  /// A grafted component retired: if the in-flight window fell to the
-  /// watermark with work pending (arrivals outpaced this drain), graft the
-  /// backlog now — this is the hand-off that keeps workers flowing across
-  /// what used to be batch boundaries.
-  static void on_component_retired(const std::shared_ptr<State>& state) {
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      --state->inflight;
-      // Ready apply stages flush unconditionally — they are latency-critical
-      // solve tails whose requests already hold slots, so neither the cork
-      // nor the watermark applies to them.
-      applies = take_applies_locked(*state);
-      if (!state->corked && state->inflight <= long(state->opts.low_watermark) &&
-          !state->pending.empty())
-        groups = take_groups_locked(*state);
-    }
-    state->retire_cv.notify_all();
-    graft_applies(state, std::move(applies));
-    graft(state, std::move(groups));
-  }
-
-  std::shared_ptr<State> state_;
 };
 
 template <typename T>
 FactorStream<T> FactorSession::stream(StreamOptions opt) {
-  return FactorStream<T>(this, std::move(opt));
+  return FactorStream<T>(*this, std::move(opt));
 }
 
 }  // namespace tiledqr::core

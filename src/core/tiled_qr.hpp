@@ -451,8 +451,6 @@ class TiledQr {
 
  private:
   friend class FactorSession;
-  template <typename U>
-  friend class FactorStream;
 
   /// Only prepare() and FactorSession build TiledQr objects: a default-
   /// constructed one would have a null plan_, so the constructor is not
@@ -476,13 +474,15 @@ class TiledQr {
   /// (reduction) grid, everything else by QR. A disengaged `opt.tree`
   /// resolves to the Greedy/TT default here (the session paths resolve it
   /// through the autotuner before calling); the stored options always carry
-  /// the tree actually used.
+  /// the tree and tile size actually used (a pre-tiled input keeps its own
+  /// nb, whatever `opt.nb` says).
   [[nodiscard]] static TiledQr prepare(TileMatrix<T> a, Options opt,
                                        PlanCache& cache = PlanCache::default_cache()) {
     TiledQr qr;
     TILEDQR_CHECK(opt.ib >= 1, "Options::ib must be >= 1");
     if (opt.threads <= 0) opt.threads = default_thread_count();
     if (!opt.tree) opt.tree = trees::TreeConfig{};
+    opt.nb = a.nb();
     qr.opt_ = opt;
     qr.a_ = std::move(a);
     qr.kind_ =

@@ -26,12 +26,11 @@ enum class SchedulePriority {
 /// given the priority rule). threads > 1 submits the DAG to the process-wide
 /// persistent worker pool (ThreadPool::default_pool()), capped to `threads`
 /// concurrent workers — unless `threads` exceeds the pool size, in which
-/// case the spawn path runs so the exact concurrency is still honored
-/// (scaling sweeps past the core count oversubscribe, as before). Any
-/// exception thrown by a task body is captured and
-/// rethrown on the calling thread after the DAG drains. Because tasks only
-/// read their declared inputs, results are bitwise identical for any thread
-/// count and priority rule.
+/// case a transient ThreadPool of exactly `threads` workers runs it, so
+/// scaling sweeps past the core count still oversubscribe. Any exception
+/// thrown by a task body is captured and rethrown on the calling thread
+/// after the DAG drains. Because tasks only read their declared inputs,
+/// results are bitwise identical for any thread count and priority rule.
 ///
 /// `keys`, when non-null, supplies precomputed scheduling keys (one per
 /// task, higher runs first) and must outlive the call; the priority rule is
@@ -40,13 +39,6 @@ enum class SchedulePriority {
 void execute(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& body,
              int threads, SchedulePriority priority = SchedulePriority::CriticalPath,
              const std::vector<long>* keys = nullptr);
-
-/// The pre-pool execution path: spawns `threads` fresh std::threads around a
-/// central priority queue and joins them before returning. Kept as the
-/// spawn-per-call baseline for the serving benchmarks; prefer execute().
-void execute_spawn(const dag::TaskGraph& g, const std::function<void(std::int32_t)>& body,
-                   int threads, SchedulePriority priority = SchedulePriority::CriticalPath,
-                   const std::vector<long>* keys = nullptr);
 
 /// Scheduling keys for a priority rule: CriticalPath uses downward_ranks(),
 /// EmissionOrder gives earlier tasks larger keys. Higher key = run first.

@@ -142,7 +142,7 @@ struct ThreadPool::Submission {
   /// anchor through the pool-level round shared across streams.
   bool stream = false;
   /// Trace id: which submission an event belongs to (unique across pools and
-  /// the spawn-path executor).
+  /// the sequential executor).
   std::uint32_t id = 0;
   /// The pool's streams-closed counter (engaged for streams only).
   /// Incremented once — by the first close(), or from ~Submission when the

@@ -1,9 +1,9 @@
 // Persistent worker pool for the serving regime.
 //
-// The spawn-per-call executor (runtime::execute_spawn) pays a thread
-// create/join round trip on every factorization — invisible for one big QR,
-// dominant for the "many repeated small factorizations" workload the ROADMAP
-// targets. ThreadPool keeps the workers alive across factorizations:
+// Spawning threads per call pays a thread create/join round trip on every
+// factorization — invisible for one big QR, dominant for the "many repeated
+// small factorizations" workload the ROADMAP targets. ThreadPool keeps the
+// workers alive across factorizations:
 //
 //   * each worker owns a fixed set of *lanes* — one Chase–Lev lock-free
 //     deque per live submission it holds work for. The owner pushes and

@@ -41,7 +41,7 @@ double lq_residual(const Matrix<T>& a, const TiledQr<T>& lq) {
   return double(difference_norm<T>(a.view(), prod.view()) / frobenius_norm<T>(a.view()));
 }
 
-/// Sequential per-matrix LQ replay through the pre-pool spawn path: the plan
+/// Sequential per-matrix LQ replay (execute on one thread): the plan
 /// lives on the reduction grid (nt, mt) and the kernels run on the A-layout
 /// tiles — the reference every scheduled LQ result must match bit for bit.
 Matrix<double> replay_sequential_lq(const Matrix<double>& a, int nb, int ib,
@@ -50,7 +50,7 @@ Matrix<double> replay_sequential_lq(const Matrix<double>& a, int nb, int ib,
   auto plan = core::make_plan(tiles.nt(), tiles.mt(), tree, FactorKind::LQ);
   core::TStore<double> ts(tiles.nt(), tiles.mt(), ib, tiles.nb());
   core::TStore<double> t2s(tiles.nt(), tiles.mt(), ib, tiles.nb());
-  runtime::execute_spawn(
+  runtime::execute(
       plan.graph,
       [&](std::int32_t idx) {
         core::run_task_kernels(plan.graph.tasks[size_t(idx)], tiles, ts, t2s, ib);

@@ -55,6 +55,23 @@ TEST(QrSession, SubmitMatchesSynchronousFactorize) {
   // The async result is a fully usable TiledQr.
   auto q = async_qr.q_thin();
   EXPECT_LE(double(orthogonality_error<double>(q.view())), 1e-11);
+
+  // A pre-tiled input keeps its own tile size (16, not opt.nb = 32), and
+  // options() reports the size actually used on every pre-tiled path.
+  auto tiles = TileMatrix<double>::from_dense(ConstMatrixView<double>(a.view()), 16);
+  auto tiled_qr = session.submit(TileMatrix<double>(tiles), opt).get();
+  EXPECT_EQ(tiled_qr.options().nb, 16);
+  expect_bitwise_equal(tiled_qr, TiledQr<double>::factorize(TileMatrix<double>(tiles), sync_opt));
+  for (auto& f : session.submit_batch(std::vector<TileMatrix<double>>(2, tiles), opt))
+    EXPECT_EQ(f.get().options().nb, 16);
+  QrSession::StreamOptions sopt;
+  sopt.nb = opt.nb;
+  sopt.ib = opt.ib;
+  sopt.tree = opt.tree;
+  auto stream = session.stream<double>(sopt);
+  auto pushed = stream.push(TileMatrix<double>(tiles));
+  stream.close();
+  EXPECT_EQ(pushed.get().options().nb, 16);
 }
 
 TEST(QrSession, ManyOutstandingFuturesResolve) {

@@ -178,24 +178,26 @@ TEST(Solve, OneByOneTileGrid) {
 }
 
 TEST(Solve, ZeroColumnRhsIsAValidDegenerateSystem) {
-  const int m = 40, n = 24;
-  auto a = random_matrix<double>(m, n, 83);
-  auto qr = TiledQr<double>::factorize(a.view(), small_opts());
-  Matrix<double> b(m, 0);
-  auto x = qr.solve_least_squares(b.view());
-  EXPECT_EQ(x.rows(), n);
-  EXPECT_EQ(x.cols(), 0);
-  // The async pipeline handles the same degenerate rhs (both flavors).
-  core::QrSession session(core::QrSession::Config{2});
-  auto x2 = session.solve_least_squares_async(qr, ConstMatrixView<double>(b.view())).get();
-  EXPECT_EQ(x2.rows(), n);
-  EXPECT_EQ(x2.cols(), 0);
-  auto x3 = session
-                .solve_least_squares_async(ConstMatrixView<double>(a.view()),
-                                           ConstMatrixView<double>(b.view()), small_opts())
-                .get();
-  EXPECT_EQ(x3.rows(), n);
-  EXPECT_EQ(x3.cols(), 0);
+  // Tall (QR least squares) and wide (LQ minimum norm) inputs alike.
+  for (const auto& [m, n] : {std::pair{40, 24}, std::pair{24, 40}}) {
+    auto a = random_matrix<double>(m, n, 83);
+    auto qr = TiledQr<double>::factorize(a.view(), small_opts());
+    Matrix<double> b(m, 0);
+    auto x = qr.solve_least_squares(b.view());
+    EXPECT_EQ(x.rows(), n);
+    EXPECT_EQ(x.cols(), 0);
+    // The async pipeline handles the same degenerate rhs (both flavors).
+    core::QrSession session(core::QrSession::Config{2});
+    auto x2 = session.solve_least_squares_async(qr, ConstMatrixView<double>(b.view())).get();
+    EXPECT_EQ(x2.rows(), n);
+    EXPECT_EQ(x2.cols(), 0);
+    auto x3 = session
+                  .solve_least_squares_async(ConstMatrixView<double>(a.view()),
+                                             ConstMatrixView<double>(b.view()), small_opts())
+                  .get();
+    EXPECT_EQ(x3.rows(), n);
+    EXPECT_EQ(x3.cols(), 0);
+  }
 }
 
 TEST(Solve, MismatchedRowTilingErrorPaths) {
@@ -268,6 +270,20 @@ TEST(Solve, WideMatrixMinimumNormSolve) {
   EXPECT_LE(difference_norm<double>(x_async.view(), x_ref.view()) /
                 frobenius_norm<double>(x_ref.view()),
             1e-10);
+
+  // apply_q_async on the LQ factorization is bitwise identical to the
+  // sequential apply_q (C lives in the transposed world: 24 rows).
+  auto c0 = random_matrix<double>(24, 3, 107);
+  for (ApplyTrans trans : {ApplyTrans::NoTrans, ApplyTrans::ConjTrans}) {
+    auto want = TileMatrix<double>::from_dense(c0.view(), 8);
+    qr.apply_q(trans, want);
+    auto got =
+        session.apply_q_async(qr, trans, TileMatrix<double>::from_dense(c0.view(), 8)).get();
+    auto dw = want.to_dense();
+    auto dg = got.to_dense();
+    for (std::int64_t j = 0; j < dw.cols(); ++j)
+      for (std::int64_t i = 0; i < dw.rows(); ++i) ASSERT_EQ(dg(i, j), dw(i, j)) << i << "," << j;
+  }
 }
 
 TEST(Solve, QThinFirstColumnsSpanA) {

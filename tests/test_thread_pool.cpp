@@ -1,7 +1,7 @@
 // Tests for the persistent worker pool: reuse across DAGs, work stealing,
 // worker-set capping, bitwise determinism of factorizations across thread
 // counts, re-entrant run(), and exception propagation through every
-// execution path (sequential, spawn-per-call baseline, persistent pool).
+// execution path (sequential, oversubscribed transient pool, persistent pool).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,8 +153,8 @@ TEST(ThreadPool, ExceptionPropagatesThroughEveryPath) {
   };
   // Legacy sequential path.
   EXPECT_THROW(runtime::execute(g, failing, 1), Error);
-  // Legacy spawn-per-call path.
-  EXPECT_THROW(runtime::execute_spawn(g, failing, 4), Error);
+  // Oversubscribed execute(): more threads than the default pool has.
+  EXPECT_THROW(runtime::execute(g, failing, ThreadPool::default_pool().size() + 2), Error);
   // Persistent pool, blocking run().
   ThreadPool pool(4);
   EXPECT_THROW(pool.run(g, failing), Error);
@@ -252,7 +252,7 @@ TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossSchedulingModes) {
 
 TEST(ThreadPool, DefaultPoolBacksExecute) {
   // execute(threads > 1) goes through the shared default pool (as long as
-  // the request fits the pool; above it, the spawn path honors the exact
+  // the request fits the pool; above it, a transient pool honors the exact
   // thread count). Repeated in-pool calls must not spawn-per-call:
   // graphs_completed grows and the pool persists.
   auto& pool = ThreadPool::default_pool();
@@ -266,7 +266,7 @@ TEST(ThreadPool, DefaultPoolBacksExecute) {
   }
   if (threads >= 2)
     EXPECT_GE(pool.stats().graphs_completed, before + 3);
-  else  // single-worker default pool (1-CPU host): requests above it spawn
+  else  // single-worker default pool (1-CPU host): requests above it run elsewhere
     EXPECT_EQ(pool.stats().graphs_completed, before);
 }
 
