@@ -45,12 +45,6 @@ template <typename T>
 void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
           MatrixView<T> b);
 
-/// C := C + alpha * op(A) * B with A triangular (multiply-accumulate variant
-/// used by the TT kernels to exploit triangular structure).
-template <typename T>
-void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
-              ConstMatrixView<T> b, MatrixView<T> c);
-
 /// Solves op(A) * X = alpha * B (Side::Left) or X * op(A) = alpha * B
 /// (Side::Right) with A triangular; X overwrites B.
 template <typename T>
@@ -118,21 +112,6 @@ template <typename T>
 inline void trmm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, MatrixView<T> a,
                  MatrixView<T> b) {
   trmm(side, uplo, opa, diag, alpha, ConstMatrixView<T>(a), b);
-}
-template <typename T>
-inline void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, MatrixView<T> a, MatrixView<T> b,
-                     MatrixView<T> c) {
-  trmm_acc(uplo, opa, diag, alpha, ConstMatrixView<T>(a), ConstMatrixView<T>(b), c);
-}
-template <typename T>
-inline void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, MatrixView<T> a,
-                     ConstMatrixView<T> b, MatrixView<T> c) {
-  trmm_acc(uplo, opa, diag, alpha, ConstMatrixView<T>(a), b, c);
-}
-template <typename T>
-inline void trmm_acc(Uplo uplo, Op opa, Diag diag, T alpha, ConstMatrixView<T> a,
-                     MatrixView<T> b, MatrixView<T> c) {
-  trmm_acc(uplo, opa, diag, alpha, a, ConstMatrixView<T>(b), c);
 }
 template <typename T>
 inline void trsm(Side side, Uplo uplo, Op opa, Diag diag, T alpha, MatrixView<T> a,

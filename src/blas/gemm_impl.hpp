@@ -68,7 +68,7 @@ void gemm_tn(Op opa, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, Matrix
   const std::int64_t n = c.cols();
   const std::int64_t k = a.rows();
   // For real scalars Trans and ConjTrans coincide, so every transposed-A
-  // path can take the vectorized dot-product microkernel.
+  // path can take the packed microkernel.
   if constexpr (std::is_same_v<T, double>) {
     simd::ops().dgemm_tn(m, n, k, alpha, a.data(), a.ld(), b.data(), b.ld(), c.data(), c.ld());
     return;

@@ -50,8 +50,8 @@ struct Ops {
                    const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
                    float* c, std::int64_t ldc);
 
-  /// C(m x n) += alpha * A(k x m)^T * B(k x n): dot-product shaped, the
-  /// V^H C phase of the block reflectors.
+  /// C(m x n) += alpha * A(k x m)^T * B(k x n), the V^H C phase of the block
+  /// reflectors; the vector tiers pack A^T into the NN row panels.
   void (*dgemm_tn)(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
                    const double* a, std::int64_t lda, const double* b, std::int64_t ldb,
                    double* c, std::int64_t ldc);

@@ -210,18 +210,7 @@ class TiledQr {
     // row index of the apply grid is the reduction grid's row count.
     std::vector<const dag::Task*> ops;
     for (const auto& task : plan_->graph.tasks)
-      switch (task.kind) {
-        case kernels::KernelKind::GEQRT:
-        case kernels::KernelKind::TSQRT:
-        case kernels::KernelKind::TTQRT:
-        case kernels::KernelKind::GELQT:
-        case kernels::KernelKind::TSLQT:
-        case kernels::KernelKind::TTLQT:
-          ops.push_back(&task);
-          break;
-        default:
-          break;
-      }
+      if (kernels::is_factor_kernel(task.kind)) ops.push_back(&task);
     if (trans == ApplyTrans::NoTrans) std::reverse(ops.begin(), ops.end());
 
     dag::TaskGraph g;
@@ -237,26 +226,11 @@ class TiledQr {
       }
       slot = id;
     };
-    auto apply_kind = [](kernels::KernelKind k) {
-      switch (k) {
-        case kernels::KernelKind::GEQRT:
-          return kernels::KernelKind::UNMQR;
-        case kernels::KernelKind::TSQRT:
-          return kernels::KernelKind::TSMQR;
-        case kernels::KernelKind::TTQRT:
-          return kernels::KernelKind::TTMQR;
-        case kernels::KernelKind::GELQT:
-          return kernels::KernelKind::UNMLQ;
-        case kernels::KernelKind::TSLQT:
-          return kernels::KernelKind::TSMLQ;
-        default:
-          return kernels::KernelKind::TTMLQ;
-      }
-    };
     for (const auto* op : ops) {
       for (int jc = 0; jc < c_nt; ++jc) {
         auto id = std::int32_t(g.tasks.size());
-        g.tasks.push_back(dag::Task{apply_kind(op->kind), op->i, op->piv, op->k, jc, 0, {}});
+        g.tasks.push_back(
+            dag::Task{kernels::apply_kernel(op->kind), op->i, op->piv, op->k, jc, 0, {}});
         if (op->piv >= 0) touch(op->piv, jc, id);
         touch(op->i, jc, id);
       }
@@ -265,36 +239,11 @@ class TiledQr {
   }
 
   /// Runs one task of an apply graph built by build_apply_graph against C.
-  /// LQ apply kernels adjoint the reflector tile internally, so C's tiles
-  /// (transposed-world operands) pass straight through.
+  /// LQ apply kernels read the reflector tile in A-layout, so C's tiles
+  /// (transposed-world operands) pass straight through. Only C's live
+  /// columns are transformed (see live_tile).
   void run_apply_task(const dag::Task& task, ApplyTrans trans, TileMatrix<T>& c) const {
-    const int ib = opt_.ib;
-    switch (task.kind) {
-      case kernels::KernelKind::UNMQR:
-        kernels::unmqr(trans, ib, a_.tile(task.i, task.k), t_.at(task.i, task.k),
-                       c.tile(task.i, task.j));
-        break;
-      case kernels::KernelKind::TSMQR:
-        kernels::tsmqr(trans, ib, a_.tile(task.i, task.k), t_.at(task.i, task.k),
-                       c.tile(task.piv, task.j), c.tile(task.i, task.j));
-        break;
-      case kernels::KernelKind::TTMQR:
-        kernels::ttmqr(trans, ib, a_.tile(task.i, task.k), t2_.at(task.i, task.k),
-                       c.tile(task.piv, task.j), c.tile(task.i, task.j));
-        break;
-      case kernels::KernelKind::UNMLQ:
-        kernels::unmlq(trans, ib, a_.tile(task.k, task.i), t_.at(task.i, task.k),
-                       c.tile(task.i, task.j));
-        break;
-      case kernels::KernelKind::TSMLQ:
-        kernels::tsmlq(trans, ib, a_.tile(task.k, task.i), t_.at(task.i, task.k),
-                       c.tile(task.piv, task.j), c.tile(task.i, task.j));
-        break;
-      default:
-        kernels::ttmlq(trans, ib, a_.tile(task.k, task.i), t2_.at(task.i, task.k),
-                       c.tile(task.piv, task.j), c.tile(task.i, task.j));
-        break;
-    }
+    apply_tile_op(task.kind, task.i, task.piv, task.k, task.j, trans, c);
   }
 
   /// Applies op(Q) to a tiled matrix with the same row tiling, building an
@@ -319,42 +268,12 @@ class TiledQr {
   void apply_q(ApplyTrans trans, TileMatrix<T>& c) const {
     TILEDQR_CHECK(c.mt() == reduction_p() && c.nb() == a_.nb(),
                   "apply_q: row tiling of C must match the factorization");
-    const int ib = opt_.ib;
+    // The log holds the factor tasks; each replays as its apply kernel over
+    // every tile column of C, exactly as build_apply_graph schedules it.
     auto apply_one = [&](const dag::Task& task) {
-      switch (task.kind) {
-        case kernels::KernelKind::GEQRT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::unmqr(trans, ib, a_.tile(task.i, task.k), t_.at(task.i, task.k),
-                           c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::TSQRT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::tsmqr(trans, ib, a_.tile(task.i, task.k), t_.at(task.i, task.k),
-                           c.tile(task.piv, jc), c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::TTQRT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::ttmqr(trans, ib, a_.tile(task.i, task.k), t2_.at(task.i, task.k),
-                           c.tile(task.piv, jc), c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::GELQT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::unmlq(trans, ib, a_.tile(task.k, task.i), t_.at(task.i, task.k),
-                           c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::TSLQT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::tsmlq(trans, ib, a_.tile(task.k, task.i), t_.at(task.i, task.k),
-                           c.tile(task.piv, jc), c.tile(task.i, jc));
-          break;
-        case kernels::KernelKind::TTLQT:
-          for (int jc = 0; jc < c.nt(); ++jc)
-            kernels::ttmlq(trans, ib, a_.tile(task.k, task.i), t2_.at(task.i, task.k),
-                           c.tile(task.piv, jc), c.tile(task.i, jc));
-          break;
-        default:
-          break;  // update kernels are not part of the log
-      }
+      if (!kernels::is_factor_kernel(task.kind)) return;
+      for (int jc = 0; jc < c.nt(); ++jc)
+        apply_tile_op(kernels::apply_kernel(task.kind), task.i, task.piv, task.k, jc, trans, c);
     };
     const auto& tasks = plan_->graph.tasks;
     if (trans == ApplyTrans::ConjTrans) {
@@ -466,6 +385,50 @@ class TiledQr {
   }
   [[nodiscard]] int reduction_q() const noexcept {
     return kind_ == kernels::FactorKind::LQ ? a_.mt() : a_.nt();
+  }
+
+  /// The live columns of C's tile (i, j). Columns past c.n() are zero
+  /// padding and op(Q) maps zero columns to zero, so the apply kernels skip
+  /// them: a one-column right-hand side costs one column of work, not nb.
+  /// The kernels transform columns independently, so the live columns come
+  /// out bitwise as if the whole tile had been transformed.
+  [[nodiscard]] static MatrixView<T> live_tile(TileMatrix<T>& c, int i, int j) {
+    const std::int64_t nb = c.nb();
+    return c.tile(i, j).sub(0, 0, nb, std::min<std::int64_t>(nb, c.n() - j * nb));
+  }
+
+  /// Runs apply kernel `kind` (UNMQR ... TTMLQ) of the log entry at reduction
+  /// coordinates (i, piv, k) on C's tile column jc. Shared by the apply DAG
+  /// and the sequential replay, so both run identical kernel calls.
+  void apply_tile_op(kernels::KernelKind kind, int i, int piv, int k, int jc, ApplyTrans trans,
+                     TileMatrix<T>& c) const {
+    const int ib = opt_.ib;
+    switch (kind) {
+      case kernels::KernelKind::UNMQR:
+        kernels::unmqr(trans, ib, a_.tile(i, k), t_.at(i, k), live_tile(c, i, jc));
+        break;
+      case kernels::KernelKind::TSMQR:
+        kernels::tsmqr(trans, ib, a_.tile(i, k), t_.at(i, k), live_tile(c, piv, jc),
+                       live_tile(c, i, jc));
+        break;
+      case kernels::KernelKind::TTMQR:
+        kernels::ttmqr(trans, ib, a_.tile(i, k), t2_.at(i, k), live_tile(c, piv, jc),
+                       live_tile(c, i, jc));
+        break;
+      case kernels::KernelKind::UNMLQ:
+        kernels::unmlq(trans, ib, a_.tile(k, i), t_.at(i, k), live_tile(c, i, jc));
+        break;
+      case kernels::KernelKind::TSMLQ:
+        kernels::tsmlq(trans, ib, a_.tile(k, i), t_.at(i, k), live_tile(c, piv, jc),
+                       live_tile(c, i, jc));
+        break;
+      case kernels::KernelKind::TTMLQ:
+        kernels::ttmlq(trans, ib, a_.tile(k, i), t2_.at(i, k), live_tile(c, piv, jc),
+                       live_tile(c, i, jc));
+        break;
+      default:
+        TILEDQR_CHECK(false, "apply_tile_op: not an apply kernel");
+    }
   }
 
   /// Allocates storage and fetches the (possibly cached) plan without

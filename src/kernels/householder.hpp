@@ -7,13 +7,18 @@
 //   A QR factorization accumulates Q = H_1 H_2 ... H_k; block reflectors are
 //   Q_blk = I - V T V^H with T upper triangular (larft, forward columnwise).
 //
-//   Applying Q^H uses T^H, applying Q uses T (larfb, left).
+//   Applying Q^H uses T^H, applying Q uses T (larfb, left). larfb is the
+//   one compact-WY apply in the library: every update kernel (QR and LQ)
+//   and every factor kernel's trailing update runs through it, as three
+//   GEMMs over a per-thread expansion of the reflector block.
 #pragma once
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "blas/blas.hpp"
+#include "common/aligned.hpp"
 #include "matrix/matrix_view.hpp"
 #include "matrix/scalar.hpp"
 
@@ -145,44 +150,100 @@ void larft(ConstMatrixView<T> v, const T* tau, MatrixView<T> t) {
 /// Whether a block application multiplies by Q or by Q^H.
 enum class ApplyTrans { NoTrans, ConjTrans };
 
-/// Applies a compact-WY block reflector from the left (LAPACK larfb,
-/// direction forward, storage columnwise):
-///   C := (I - V op(T) V^H)^{(H)} C
-/// with V (m x k) unit lower trapezoidal and T (k x k) upper triangular.
-/// `work` must hold k * C.cols() entries.
+/// How a block of reflectors is laid out in the tile that stores it. All
+/// three are read only inside their reflector region, so whatever the tile
+/// holds elsewhere (an R or L triangle, another kernel's reflectors) is never
+/// loaded.
+enum class VShape {
+  UnitLower,       ///< GEQRT/GELQT: unit diagonal implicit, zeros above it
+  Dense,           ///< TSQRT/TSLQT tails: every row explicit
+  UpperTrapezoid,  ///< TTQRT/TTLQT tails: column c has rows 0..rows-sb+c
+};
+
+/// Whether reflector columns are stored as columns (QR) or, for the LQ duals,
+/// as conjugated rows of the A-layout tile.
+enum class VLayout { Columns, Rows };
+
+namespace detail {
 template <typename T>
-void larfb_left(ApplyTrans trans, ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
-                T* work) {
-  const std::int64_t m = v.rows();
-  const std::int64_t k = v.cols();
+using WorkVec = std::vector<T, AlignedAllocator<T>>;
+
+/// Per-thread scratch for larfb: grows to the largest block a thread has
+/// applied and is reused after that, so a steady-state apply never
+/// allocates. O(nb^2) per thread and scalar type.
+template <typename T>
+T* larfb_scratch(std::size_t n) {
+  thread_local WorkVec<T> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+}  // namespace detail
+
+/// Applies one compact-WY block reflector from the left (LAPACK larfb,
+/// direction forward, storage columnwise):
+///   [top; c] := (I - V op(T) V^H)^{(H)} [top; c]
+/// V is rows x sb, stored in `v` as `shape` and `layout` say (`v` is
+/// rows x sb for Columns, sb x rows for Rows). For Dense and UpperTrapezoid
+/// the reflectors carry an implicit identity block that acts on the sb rows
+/// of `top`; for UnitLower `top` is empty and the unit diagonal sits in V.
+/// T is sb x sb upper triangular; only its upper triangle is read.
+///
+/// The block is expanded into per-thread scratch with its structure written
+/// out (unit diagonal, explicit zeros), op(T) is copied into a zeroed
+/// sb x sb block, and the update runs as three GEMMs:
+///   W = V^H c (+ top);   W := op(T) W;   top -= W, c -= V W.
+/// Columns of [top; c] are independent: applying to a leading column subset
+/// gives bitwise the same columns as applying to all of them.
+template <typename T>
+void larfb(ApplyTrans trans, VShape shape, VLayout layout, ConstMatrixView<T> v,
+           ConstMatrixView<T> t, MatrixView<T> top, MatrixView<T> c) {
+  const std::int64_t rows = c.rows();
+  const std::int64_t sb = t.rows();
   const std::int64_t n = c.cols();
-  TILEDQR_ASSERT(c.rows() == m);
-  if (m == 0 || n == 0 || k == 0) return;
+  const bool has_top = shape != VShape::UnitLower;
+  TILEDQR_ASSERT(t.cols() == sb && rows >= sb);
+  TILEDQR_ASSERT(layout == VLayout::Columns ? (v.rows() == rows && v.cols() == sb)
+                                            : (v.rows() == sb && v.cols() == rows));
+  TILEDQR_ASSERT(!has_top || (top.rows() == sb && top.cols() == n));
+  if (n == 0 || sb == 0) return;
 
-  MatrixView<T> w(work, k, n, k);
-  auto c1 = c.sub(0, 0, k, n);
-  auto c2 = c.sub(k, 0, m - k, n);
-  auto v1 = v.sub(0, 0, k, k);
-  auto v2 = v.sub(k, 0, m - k, k);
+  T* s = detail::larfb_scratch<T>(std::size_t(sb) * std::size_t(rows + sb + 2 * n));
+  MatrixView<T> vs(s, rows, sb, rows);
+  MatrixView<T> ts(s + rows * sb, sb, sb, sb);
+  MatrixView<T> w(ts.data() + sb * sb, sb, n, sb);
+  MatrixView<T> w2(w.data() + sb * n, sb, n, sb);
 
-  // W := V^H C = V1^H C1 + V2^H C2
-  copy(ConstMatrixView<T>(c1), w);
-  blas::trmm(blas::Side::Left, blas::Uplo::Lower, blas::Op::ConjTrans, blas::Diag::Unit, T(1),
-             v1, w);
-  if (m > k)
-    blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), v2, ConstMatrixView<T>(c2), T(1), w);
+  // Expand V: column j holds zeros on [0, lo), the unit diagonal at lo - 1
+  // for UnitLower, the stored reflector entries on [lo, hi), zeros after.
+  for (std::int64_t j = 0; j < sb; ++j) {
+    std::int64_t lo = 0, hi = rows;
+    if (shape == VShape::UnitLower) lo = j + 1;
+    if (shape == VShape::UpperTrapezoid) hi = rows - sb + j + 1;
+    T* dst = vs.col(j);
+    for (std::int64_t r = 0; r < lo; ++r) dst[r] = T(0);
+    if (shape == VShape::UnitLower) dst[j] = T(1);
+    if (layout == VLayout::Columns) {
+      const T* src = v.col(j);
+      for (std::int64_t r = lo; r < hi; ++r) dst[r] = src[r];
+    } else {
+      for (std::int64_t r = lo; r < hi; ++r) dst[r] = conj_if_complex(v(j, r));
+    }
+    for (std::int64_t r = hi; r < rows; ++r) dst[r] = T(0);
+  }
+  // op(T) with its zero triangle written out.
+  for (std::int64_t j = 0; j < sb; ++j)
+    for (std::int64_t r = 0; r < sb; ++r)
+      ts(r, j) = trans == ApplyTrans::NoTrans ? (r <= j ? t(r, j) : T(0))
+                                              : (r >= j ? conj_if_complex(t(j, r)) : T(0));
 
-  // W := op(T) W
-  blas::trmm(blas::Side::Left, blas::Uplo::Upper,
-             trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
-             blas::Diag::NonUnit, T(1), t, w);
-
-  // C -= V W
-  if (m > k)
-    blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), v2, ConstMatrixView<T>(w), T(1), c2);
-  // C1 -= V1 W (V1 unit lower triangular): accumulate via trmm_acc.
-  blas::trmm_acc(blas::Uplo::Lower, blas::Op::NoTrans, blas::Diag::Unit, T(-1), v1,
-                 ConstMatrixView<T>(w), c1);
+  const ConstMatrixView<T> vc(vs);
+  if (has_top) copy(ConstMatrixView<T>(top), w);
+  blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), vc, ConstMatrixView<T>(c),
+             has_top ? T(1) : T(0), w);
+  blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(1), ConstMatrixView<T>(ts),
+             ConstMatrixView<T>(w), T(0), w2);
+  if (has_top) blas::add(T(-1), ConstMatrixView<T>(w2), top);
+  blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), vc, ConstMatrixView<T>(w2), T(1), c);
 }
 
 }  // namespace tiledqr::kernels

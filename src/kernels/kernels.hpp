@@ -57,6 +57,20 @@ inline constexpr int kNumKernelKinds = 12;
   return is_lq_kernel(k) ? k : KernelKind(int(k) + kNumQrKernelKinds);
 }
 
+/// Whether k factors tiles (GEQRT, TSQRT, TTQRT and their LQ duals) rather
+/// than applying a transformation. The enum pairs every factor kernel with
+/// the apply kernel that follows it.
+[[nodiscard]] constexpr bool is_factor_kernel(KernelKind k) noexcept { return int(k) % 2 == 0; }
+
+/// The apply kernel replaying a factor kernel's transformation on other
+/// tiles: UNMQR for GEQRT, TSMQR for TSQRT, ..., TTMLQ for TTLQT.
+[[nodiscard]] constexpr KernelKind apply_kernel(KernelKind k) noexcept {
+  return KernelKind(int(k) | 1);
+}
+static_assert(apply_kernel(KernelKind::TTQRT) == KernelKind::TTMQR &&
+              apply_kernel(KernelKind::GELQT) == KernelKind::UNMLQ &&
+              !is_factor_kernel(KernelKind::TSMLQ));
+
 /// Task weight in units of nb^3/3 flops (paper Table 1). An LQ kernel does
 /// exactly its dual's flops on transposed tiles.
 [[nodiscard]] constexpr int kernel_weight(KernelKind k) noexcept {

@@ -12,20 +12,23 @@
 // in A-layout: L in the lower triangle, the row reflectors strictly above it
 // (TSLQT tails dense, TTLQT tails lower-trapezoidal). T factors are the
 // transposed-world block factors and are stored as-is. Apply kernels operate
-// on transposed-world operands (a C whose rows live in A's column space), so
-// only the reflector tile is adjointed.
+// on transposed-world operands (a C whose rows live in A's column space) and
+// run the dual QR apply with VLayout::Rows: larfb packs each block of V^H
+// straight from the A-layout reflector rows into its per-thread scratch, so
+// the apply wrappers copy no tile and allocate nothing.
 //
-// The adjoint copies are O(nb^2) against the kernels' O(nb^3) work, and the
-// wrappers require full square tiles — exactly what TileMatrix guarantees
-// (every tile is a zero-padded nb x nb block).
+// The factor kernels' adjoint copies are O(nb^2) against their O(nb^3) work,
+// and the wrappers require full square tiles — exactly what TileMatrix
+// guarantees (every tile is a zero-padded nb x nb block).
 //
 // The copies must be region-exact, not whole-tile: the DAG runs a TSLQT/TTLQT
 // (which rewrites a tile's L triangle) concurrently with UNMLQ tasks (which
 // read the same tile's strictly-upper row reflectors) — the same disjoint-
 // region parallelism the QR kernels rely on, where tsqrt/ttqrt touch only the
-// upper triangles and larft/larfb_left read only strictly below the unit
+// upper triangles and larft/larfb read only strictly below the unit
 // diagonal. A whole-tile adjoint in either wrapper would turn those disjoint
-// element sets into a data race.
+// element sets into a data race. larfb reads an A-layout reflector block only
+// inside its reflector region for the same reason.
 #pragma once
 
 #include "kernels/tile_kernels.hpp"
@@ -89,19 +92,6 @@ class AdjointScratch {
   WorkVec<T> buf_;
 };
 
-/// dst's strictly-lower triangle := adjoint of src's strictly-upper triangle
-/// (the row reflectors of a factored LQ tile). Nothing else is read or
-/// written: the L triangle of src may be concurrently rewritten by a
-/// TSLQT/TTLQT on the same tile, and the dual apply kernels only dereference
-/// strictly below their unit diagonal.
-template <typename T>
-void adjoint_copy_reflectors(ConstMatrixView<T> src, MatrixView<T> dst) {
-  TILEDQR_ASSERT(dst.rows() == src.cols() && dst.cols() == src.rows());
-  for (std::int64_t j = 1; j < src.cols(); ++j)
-    for (std::int64_t i = 0; i < j && i < src.rows(); ++i)
-      dst(j, i) = conj_if_complex(src(i, j));
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -152,10 +142,7 @@ void ttlqt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
 template <typename T>
 void unmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v, ConstMatrixView<T> t,
            MatrixView<T> c) {
-  detail::WorkVec<T> buf(size_t(v.rows()) * size_t(v.cols()));
-  MatrixView<T> vt(buf.data(), v.cols(), v.rows(), v.cols());
-  detail::adjoint_copy_reflectors(v, vt);
-  unmqr(trans, ib, ConstMatrixView<T>(vt), t, c);
+  detail::unm(trans, ib, VLayout::Rows, v, t, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -164,10 +151,7 @@ void unmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v, ConstMatrixView<T> t,
 template <typename T>
 void tsmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t,
            MatrixView<T> a1, MatrixView<T> a2) {
-  detail::WorkVec<T> buf(size_t(v2.rows()) * size_t(v2.cols()));
-  MatrixView<T> vt(buf.data(), v2.cols(), v2.rows(), v2.cols());
-  detail::adjoint_copy(v2, vt);
-  tsmqr(trans, ib, ConstMatrixView<T>(vt), t, a1, a2);
+  detail::tpm(trans, ib, VShape::Dense, VLayout::Rows, v2, t, a1, a2);
 }
 
 // ---------------------------------------------------------------------------
@@ -177,10 +161,7 @@ void tsmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t
 template <typename T>
 void ttmlq(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t,
            MatrixView<T> a1, MatrixView<T> a2) {
-  detail::WorkVec<T> buf(size_t(v2.rows()) * size_t(v2.cols()));
-  MatrixView<T> vt(buf.data(), v2.cols(), v2.rows(), v2.cols());
-  detail::adjoint_copy(v2, vt);
-  ttmqr(trans, ib, ConstMatrixView<T>(vt), t, a1, a2);
+  detail::tpm(trans, ib, VShape::UpperTrapezoid, VLayout::Rows, v2, t, a1, a2);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@
 // triangular structure of the eliminated tile (reflector tails are upper
 // trapezoidal), which is where their 2x flop advantage over TS comes from.
 //
+// Every block-reflector application here — the three *MQR kernels and the
+// trailing updates inside GEQRT/TSQRT/TTQRT — is one call per ib-block to
+// larfb (householder.hpp), which runs it as three GEMMs over a per-thread
+// expansion of the block. The TT applies therefore spend GEMM flops on the
+// zero part of each trapezoid (sb^2/2 per block) to run at GEMM rate; the
+// factor kernels' column sweeps remain the unblocked part.
+//
 // Storage conventions (per tile, matching PLASMA):
 //  * after GEQRT, the tile holds R in its upper triangle and the unit-lower
 //    reflectors V strictly below the diagonal; T factors go to a separate
@@ -25,24 +32,72 @@
 #pragma once
 
 #include <algorithm>
-#include <vector>
 
-#include "common/aligned.hpp"
 #include "kernels/householder.hpp"
 
 namespace tiledqr::kernels {
 
 namespace detail {
-template <typename T>
-using WorkVec = std::vector<T, AlignedAllocator<T>>;
+/// Calls f(i, sb) for each ib-block [i, i + sb) of k reflectors, in the
+/// order op(Q) applies them: ascending for Q^H, descending for Q
+/// (Q = B_1 B_2 ... B_l, so Q C applies B_l first).
+template <typename F>
+void for_each_block(std::int64_t k, int ib, ApplyTrans trans, F&& f) {
+  if (k <= 0) return;
+  if (trans == ApplyTrans::ConjTrans) {
+    for (std::int64_t i = 0; i < k; i += ib) f(i, std::min<std::int64_t>(ib, k - i));
+  } else {
+    for (std::int64_t i = (k - 1) / ib * ib; i >= 0; i -= ib)
+      f(i, std::min<std::int64_t>(ib, k - i));
+  }
+}
 
-/// Panel start offsets for blocked application: ascending when applying Q^H,
-/// descending when applying Q (Q = B_1 B_2 ... B_l, so Q C applies B_l first).
-inline std::vector<std::int64_t> block_starts(std::int64_t k, int ib, ApplyTrans trans) {
-  std::vector<std::int64_t> starts;
-  for (std::int64_t i = 0; i < k; i += ib) starts.push_back(i);
-  if (trans == ApplyTrans::NoTrans) std::reverse(starts.begin(), starts.end());
-  return starts;
+/// The reflector block with dual rows [r0, r0 + rows) and columns
+/// [j0, j0 + sb) of a reflector tile, in the orientation larfb expects for
+/// `layout` (the LQ duals keep their reflectors as rows of the A-layout tile).
+template <typename T>
+ConstMatrixView<T> reflector_block(VLayout layout, ConstMatrixView<T> v, std::int64_t r0,
+                                   std::int64_t j0, std::int64_t rows, std::int64_t sb) {
+  return layout == VLayout::Columns ? v.sub(r0, j0, rows, sb) : v.sub(j0, r0, sb, rows);
+}
+
+/// Reflector-tile dimensions as the dual QR sees them.
+template <typename T>
+std::int64_t dual_rows(VLayout layout, ConstMatrixView<T> v) {
+  return layout == VLayout::Columns ? v.rows() : v.cols();
+}
+template <typename T>
+std::int64_t dual_cols(VLayout layout, ConstMatrixView<T> v) {
+  return layout == VLayout::Columns ? v.cols() : v.rows();
+}
+
+/// UNMQR/UNMLQ: c := op(Q) c for the reflectors of a GEQRT-factored tile.
+template <typename T>
+void unm(ApplyTrans trans, int ib, VLayout layout, ConstMatrixView<T> v, ConstMatrixView<T> t,
+         MatrixView<T> c) {
+  const std::int64_t m = dual_rows(layout, v);
+  const std::int64_t k = std::min(m, dual_cols(layout, v));
+  TILEDQR_CHECK(c.rows() == m, "unmqr: C row mismatch");
+  for_each_block(k, ib, trans, [&](std::int64_t i, std::int64_t sb) {
+    larfb(trans, VShape::UnitLower, layout, reflector_block(layout, v, i, i, m - i, sb),
+          t.sub(0, i, sb, sb), MatrixView<T>(), c.sub(i, 0, m - i, c.cols()));
+  });
+}
+
+/// TSMQR/TSMLQ (shape Dense) and TTMQR/TTMLQ (shape UpperTrapezoid):
+/// [a1; a2] := op(Q) [a1; a2]. Block i's identity part acts on rows
+/// [i, i + sb) of a1; its tails on all of a2 (TS) or rows [0, i + sb) (TT).
+template <typename T>
+void tpm(ApplyTrans trans, int ib, VShape shape, VLayout layout, ConstMatrixView<T> v2,
+         ConstMatrixView<T> t, MatrixView<T> a1, MatrixView<T> a2) {
+  const std::int64_t m2 = dual_rows(layout, v2);
+  const std::int64_t nn = a1.cols();
+  TILEDQR_CHECK(a2.rows() == m2 && a2.cols() == nn, "tsmqr/ttmqr: shape mismatch");
+  for_each_block(dual_cols(layout, v2), ib, trans, [&](std::int64_t i, std::int64_t sb) {
+    const std::int64_t rows = shape == VShape::Dense ? m2 : i + sb;
+    larfb(trans, shape, layout, reflector_block(layout, v2, 0, i, rows, sb),
+          t.sub(0, i, sb, sb), a1.sub(i, 0, sb, nn), a2.sub(0, 0, rows, nn));
+  });
 }
 }  // namespace detail
 
@@ -59,7 +114,7 @@ void geqrt(int ib, MatrixView<T> a, MatrixView<T> t) {
                 "geqrt: T too small");
 
   detail::WorkVec<T> tau(static_cast<size_t>(k));
-  detail::WorkVec<T> work(size_t(ib) * size_t(n) + size_t(n));
+  detail::WorkVec<T> work(static_cast<size_t>(n));
 
   for (std::int64_t i = 0; i < k; i += ib) {
     const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
@@ -68,8 +123,8 @@ void geqrt(int ib, MatrixView<T> a, MatrixView<T> t) {
     auto tblk = t.sub(0, i, sb, sb);
     larft(ConstMatrixView<T>(panel), tau.data() + i, tblk);
     if (i + sb < n) {
-      larfb_left(ApplyTrans::ConjTrans, ConstMatrixView<T>(panel), ConstMatrixView<T>(tblk),
-                 a.sub(i, i + sb, m - i, n - i - sb), work.data());
+      larfb(ApplyTrans::ConjTrans, VShape::UnitLower, VLayout::Columns, ConstMatrixView<T>(panel),
+            ConstMatrixView<T>(tblk), MatrixView<T>(), a.sub(i, i + sb, m - i, n - i - sb));
     }
   }
 }
@@ -80,15 +135,7 @@ void geqrt(int ib, MatrixView<T> a, MatrixView<T> t) {
 template <typename T>
 void unmqr(ApplyTrans trans, int ib, ConstMatrixView<T> v, ConstMatrixView<T> t,
            MatrixView<T> c) {
-  const std::int64_t m = v.rows();
-  const std::int64_t k = std::min(m, v.cols());
-  TILEDQR_CHECK(c.rows() == m, "unmqr: C row mismatch");
-  detail::WorkVec<T> work(size_t(ib) * size_t(c.cols()));
-  for (std::int64_t i : detail::block_starts(k, ib, trans)) {
-    const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
-    larfb_left(trans, v.sub(i, i, m - i, sb), t.sub(0, i, sb, sb),
-               c.sub(i, 0, m - i, c.cols()), work.data());
-  }
+  detail::unm(trans, ib, VLayout::Columns, v, t, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -106,7 +153,6 @@ void tsqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
   TILEDQR_CHECK(ib >= 1, "tsqrt: ib must be >= 1");
 
   detail::WorkVec<T> tau(static_cast<size_t>(n));
-  detail::WorkVec<T> work(size_t(ib) * size_t(n));
 
   for (std::int64_t i = 0; i < n; i += ib) {
     const std::int64_t sb = std::min<std::int64_t>(ib, n - i);
@@ -139,18 +185,9 @@ void tsqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
     // Apply the block reflector (Q^H) to the trailing columns.
     if (i + sb < n) {
       const std::int64_t nn = n - i - sb;
-      auto c1 = a1.sub(i, i + sb, sb, nn);
-      auto c2 = a2.sub(0, i + sb, m2, nn);
-      auto v2 = a2.sub(0, i, m2, sb);
-      MatrixView<T> w(work.data(), sb, nn, sb);
-      copy(ConstMatrixView<T>(c1), w);
-      blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), ConstMatrixView<T>(v2),
-                 ConstMatrixView<T>(c2), T(1), w);
-      blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit,
-                 T(1), ConstMatrixView<T>(tblk), w);
-      blas::add(T(-1), ConstMatrixView<T>(w), c1);
-      blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), ConstMatrixView<T>(v2),
-                 ConstMatrixView<T>(w), T(1), c2);
+      larfb(ApplyTrans::ConjTrans, VShape::Dense, VLayout::Columns,
+            ConstMatrixView<T>(a2.sub(0, i, m2, sb)), ConstMatrixView<T>(tblk),
+            a1.sub(i, i + sb, sb, nn), a2.sub(0, i + sb, m2, nn));
     }
   }
 }
@@ -162,28 +199,7 @@ void tsqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
 template <typename T>
 void tsmqr(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t,
            MatrixView<T> a1, MatrixView<T> a2) {
-  const std::int64_t k = v2.cols();
-  const std::int64_t m2 = v2.rows();
-  const std::int64_t nn = a1.cols();
-  TILEDQR_CHECK(a2.rows() == m2 && a2.cols() == nn, "tsmqr: shape mismatch");
-  detail::WorkVec<T> work(size_t(ib) * size_t(nn));
-
-  for (std::int64_t i : detail::block_starts(k, ib, trans)) {
-    const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
-    auto v2blk = v2.sub(0, i, m2, sb);
-    auto tblk = t.sub(0, i, sb, sb);
-    auto c1 = a1.sub(i, 0, sb, nn);
-    MatrixView<T> w(work.data(), sb, nn, sb);
-    copy(ConstMatrixView<T>(c1), w);
-    blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), v2blk, ConstMatrixView<T>(a2),
-               T(1), w);
-    blas::trmm(blas::Side::Left, blas::Uplo::Upper,
-               trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
-               blas::Diag::NonUnit, T(1), tblk, w);
-    blas::add(T(-1), ConstMatrixView<T>(w), c1);
-    blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), v2blk, ConstMatrixView<T>(w), T(1),
-               a2);
-  }
+  detail::tpm(trans, ib, VShape::Dense, VLayout::Columns, v2, t, a1, a2);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +214,6 @@ void ttqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
   TILEDQR_CHECK(ib >= 1, "ttqrt: ib must be >= 1");
 
   detail::WorkVec<T> tau(static_cast<size_t>(n));
-  detail::WorkVec<T> work(size_t(ib) * size_t(n));
 
   for (std::int64_t i = 0; i < n; i += ib) {
     const std::int64_t sb = std::min<std::int64_t>(ib, n - i);
@@ -229,30 +244,12 @@ void ttqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
       tblk(j, j) = tau[i + j];
     }
     // Block-apply Q^H to trailing columns. V2 for this panel is the
-    // trapezoid a2[0:i+sb, i:i+sb]: a dense i x sb block D on top of an
-    // upper triangular sb x sb block U.
+    // upper trapezoid a2[0:i+sb, i:i+sb].
     if (i + sb < n) {
       const std::int64_t nn = n - i - sb;
-      auto c1 = a1.sub(i, i + sb, sb, nn);
-      auto c2top = a2.sub(0, i + sb, i, nn);
-      auto c2mid = a2.sub(i, i + sb, sb, nn);
-      auto d = a2.sub(0, i, i, sb);
-      auto u = a2.sub(i, i, sb, sb);
-      MatrixView<T> w(work.data(), sb, nn, sb);
-      copy(ConstMatrixView<T>(c1), w);
-      if (i > 0)
-        blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), ConstMatrixView<T>(d),
-                   ConstMatrixView<T>(c2top), T(1), w);
-      blas::trmm_acc(blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit, T(1),
-                     ConstMatrixView<T>(u), ConstMatrixView<T>(c2mid), w);
-      blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit,
-                 T(1), ConstMatrixView<T>(tblk), w);
-      blas::add(T(-1), ConstMatrixView<T>(w), c1);
-      if (i > 0)
-        blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), ConstMatrixView<T>(d),
-                   ConstMatrixView<T>(w), T(1), c2top);
-      blas::trmm_acc(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(-1),
-                     ConstMatrixView<T>(u), ConstMatrixView<T>(w), c2mid);
+      larfb(ApplyTrans::ConjTrans, VShape::UpperTrapezoid, VLayout::Columns,
+            ConstMatrixView<T>(a2.sub(0, i, i + sb, sb)), ConstMatrixView<T>(tblk),
+            a1.sub(i, i + sb, sb, nn), a2.sub(0, i + sb, i + sb, nn));
     }
   }
 }
@@ -263,36 +260,7 @@ void ttqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
 template <typename T>
 void ttmqr(ApplyTrans trans, int ib, ConstMatrixView<T> v2, ConstMatrixView<T> t,
            MatrixView<T> a1, MatrixView<T> a2) {
-  const std::int64_t k = v2.cols();
-  const std::int64_t nn = a1.cols();
-  TILEDQR_CHECK(a2.cols() == nn, "ttmqr: shape mismatch");
-  detail::WorkVec<T> work(size_t(ib) * size_t(nn));
-
-  for (std::int64_t i : detail::block_starts(k, ib, trans)) {
-    const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
-    auto d = v2.sub(0, i, i, sb);
-    auto u = v2.sub(i, i, sb, sb);
-    auto tblk = t.sub(0, i, sb, sb);
-    auto c1 = a1.sub(i, 0, sb, nn);
-    auto c2top = a2.sub(0, 0, i, nn);
-    auto c2mid = a2.sub(i, 0, sb, nn);
-    MatrixView<T> w(work.data(), sb, nn, sb);
-    copy(ConstMatrixView<T>(c1), w);
-    if (i > 0)
-      blas::gemm(blas::Op::ConjTrans, blas::Op::NoTrans, T(1), d, ConstMatrixView<T>(c2top),
-                 T(1), w);
-    blas::trmm_acc(blas::Uplo::Upper, blas::Op::ConjTrans, blas::Diag::NonUnit, T(1), u,
-                   ConstMatrixView<T>(c2mid), w);
-    blas::trmm(blas::Side::Left, blas::Uplo::Upper,
-               trans == ApplyTrans::ConjTrans ? blas::Op::ConjTrans : blas::Op::NoTrans,
-               blas::Diag::NonUnit, T(1), tblk, w);
-    blas::add(T(-1), ConstMatrixView<T>(w), c1);
-    if (i > 0)
-      blas::gemm(blas::Op::NoTrans, blas::Op::NoTrans, T(-1), d, ConstMatrixView<T>(w), T(1),
-                 c2top);
-    blas::trmm_acc(blas::Uplo::Upper, blas::Op::NoTrans, blas::Diag::NonUnit, T(-1), u,
-                   ConstMatrixView<T>(w), c2mid);
-  }
+  detail::tpm(trans, ib, VShape::UpperTrapezoid, VLayout::Columns, v2, t, a1, a2);
 }
 
 // ---------------------------------------------------------------------------

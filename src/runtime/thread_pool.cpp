@@ -268,6 +268,10 @@ ThreadPool::ThreadPool(int threads) {
   for (int w = 0; w < threads; ++w) workers_.push_back(std::make_unique<Worker>());
   threads_.reserve(size_t(threads));
   for (int w = 0; w < threads; ++w) threads_.emplace_back([this, w] { worker_main(w); });
+  {
+    std::unique_lock<std::mutex> lock(sleep_mu_);
+    sleep_cv_.wait(lock, [&] { return started_workers_ == threads; });
+  }
   // Registered after the workers exist: a snapshot taken from another thread
   // must never observe the pool half-constructed.
   metrics_source_ = obs::MetricsRegistry::global().register_source(
@@ -702,6 +706,11 @@ void ThreadPool::worker_main(int wid) {
   tl_worker = wid;
   if (pin_workers_) pin_to_core(wid);
   g_tracer.set_thread_track_name(label_ + ".w" + std::to_string(wid));
+  {
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    ++started_workers_;
+  }
+  sleep_cv_.notify_all();
   for (;;) {
     const long epoch = epoch_.load(std::memory_order_seq_cst);
     if (try_run_one(wid)) continue;

@@ -306,6 +306,10 @@ class ThreadPool {
   // sleep_cv_ until the epoch moves past the value they last scanned at.
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
+  /// Workers past their start-up prologue (pinning, trace-track naming);
+  /// guarded by sleep_mu_. The constructor waits for all of them, so a
+  /// trace exported after any job names every worker's track.
+  int started_workers_ = 0;
   std::atomic<long> epoch_{0};
   std::atomic<int> sleepers_{0};
   std::atomic<bool> stop_{false};

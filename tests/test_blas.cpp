@@ -189,28 +189,6 @@ TYPED_TEST(BlasTyped, TrmmMatchesDenseMultiply) {
   }
 }
 
-TYPED_TEST(BlasTyped, TrmmAccAccumulates) {
-  using T = TypeParam;
-  const std::int64_t n = 5, m = 3;
-  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
-    for (Op op : {Op::NoTrans, Op::ConjTrans}) {
-      for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-        Matrix<T> a = random_matrix<T>(n, n, 9);
-        make_triangular(a, uplo);
-        auto b = random_matrix<T>(n, m, 10);
-        auto c = random_matrix<T>(n, m, 11);
-        Matrix<T> want(n, m);
-        copy(c.view(), want.view());
-        auto eff = op_of(op, effective_triangle(a, uplo, diag));
-        auto prod = naive_mul(eff, b);
-        blas::add(T(-3), prod.view(), want.view());
-        blas::trmm_acc(uplo, op, diag, T(-3), a.view(), b.view(), c.view());
-        EXPECT_LE(difference_norm<T>(want.view(), c.view()), 8 * this->tol());
-      }
-    }
-  }
-}
-
 TYPED_TEST(BlasTyped, TrsmSolves) {
   using T = TypeParam;
   const std::int64_t n = 6, m = 4;

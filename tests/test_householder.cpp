@@ -106,17 +106,18 @@ TYPED_TEST(HouseholderTyped, LarftLarfbBlockEqualsSequential) {
   Matrix<T> c_blk(m, 5), c_seq(m, 5);
   copy(c0.view(), c_blk.view());
   copy(c0.view(), c_seq.view());
-  std::vector<T> work(size_t(k) * 5);
-  kernels::larfb_left(ApplyTrans::ConjTrans, ConstMatrixView<T>(qr.vr.view()),
-                      ConstMatrixView<T>(t.view()), c_blk.view(), work.data());
+  kernels::larfb(ApplyTrans::ConjTrans, kernels::VShape::UnitLower, kernels::VLayout::Columns,
+                 ConstMatrixView<T>(qr.vr.view()), ConstMatrixView<T>(t.view()), MatrixView<T>(),
+                 c_blk.view());
   qr.apply_q(ApplyTrans::ConjTrans, c_seq.view());
   EXPECT_LE(difference_norm<T>(c_blk.view(), c_seq.view()), 1e-12);
 
   // And the NoTrans direction.
   copy(c0.view(), c_blk.view());
   copy(c0.view(), c_seq.view());
-  kernels::larfb_left(ApplyTrans::NoTrans, ConstMatrixView<T>(qr.vr.view()),
-                      ConstMatrixView<T>(t.view()), c_blk.view(), work.data());
+  kernels::larfb(ApplyTrans::NoTrans, kernels::VShape::UnitLower, kernels::VLayout::Columns,
+                 ConstMatrixView<T>(qr.vr.view()), ConstMatrixView<T>(t.view()), MatrixView<T>(),
+                 c_blk.view());
   qr.apply_q(ApplyTrans::NoTrans, c_seq.view());
   EXPECT_LE(difference_norm<T>(c_blk.view(), c_seq.view()), 1e-12);
 }

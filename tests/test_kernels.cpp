@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
+#include "blas/simd/simd.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/reference_qr.hpp"
 #include "matrix/generate.hpp"
@@ -244,6 +247,166 @@ TEST(KernelChecks, TsqrtRejectsUndersizedR1) {
   Matrix<double> a1(2, 4), a2(4, 4), t(2, 4);
   EXPECT_THROW(kernels::tsqrt(2, a1.view(), a2.view(), t.view()), Error);
 }
+
+
+// ------------------------------------------------------------------------
+// The apply contract shared by all six apply kernels (UNMQR/TSMQR/TTMQR and
+// their LQ duals), at ragged inner blocking:
+//  (a) only the reflector region of the factored tile and the upper triangle
+//      of each T block are read: NaN everywhere else leaves the output
+//      bitwise unchanged;
+//  (b) columns are independent: applying to the first j columns of C gives
+//      bitwise the columns an all-columns apply gives, on every SIMD tier
+//      (the solve paths rely on this to skip zero-padding columns).
+
+enum class ApplyKind { UNMQR, TSMQR, TTMQR, UNMLQ, TSMLQ, TTMLQ };
+
+const char* apply_kind_name(ApplyKind k) {
+  static const char* names[] = {"UNMQR", "TSMQR", "TTMQR", "UNMLQ", "TSMLQ", "TTMLQ"};
+  return names[int(k)];
+}
+
+struct ApplyContractParam {
+  ApplyKind kind;
+  int ib;
+};
+
+/// A factored reflector tile plus its T factors, ready to be applied.
+template <typename T>
+struct FactoredTile {
+  ApplyKind kind;
+  int ib;
+  Matrix<T> v, t;
+
+  void apply(ApplyTrans trans, ConstMatrixView<T> vv, ConstMatrixView<T> tt, MatrixView<T> c1,
+             MatrixView<T> c2) const {
+    switch (kind) {
+      case ApplyKind::UNMQR: kernels::unmqr(trans, ib, vv, tt, c1); break;
+      case ApplyKind::TSMQR: kernels::tsmqr(trans, ib, vv, tt, c1, c2); break;
+      case ApplyKind::TTMQR: kernels::ttmqr(trans, ib, vv, tt, c1, c2); break;
+      case ApplyKind::UNMLQ: kernels::unmlq(trans, ib, vv, tt, c1); break;
+      case ApplyKind::TSMLQ: kernels::tsmlq(trans, ib, vv, tt, c1, c2); break;
+      case ApplyKind::TTMLQ: kernels::ttmlq(trans, ib, vv, tt, c1, c2); break;
+    }
+  }
+
+  /// Whether tile element (i, j) lies outside the reflector region.
+  [[nodiscard]] bool outside_region(std::int64_t i, std::int64_t j) const {
+    switch (kind) {
+      case ApplyKind::UNMQR: return i <= j;  // R triangle
+      case ApplyKind::TTMQR: return i > j;   // GEQRT reflectors below V2
+      case ApplyKind::UNMLQ: return i >= j;  // L triangle
+      case ApplyKind::TTMLQ: return i < j;   // GELQT reflectors right of V2
+      default: return false;                 // TS tails are dense
+    }
+  }
+};
+
+template <typename T>
+FactoredTile<T> factor_for(ApplyKind kind, int nb, int ib) {
+  FactoredTile<T> f{kind, ib, Matrix<T>(nb, nb), Matrix<T>(ib, nb)};
+  auto a1 = random_matrix<T>(nb, nb, 71);
+  f.v = random_matrix<T>(nb, nb, 72);
+  switch (kind) {
+    case ApplyKind::UNMQR: kernels::geqrt(ib, f.v.view(), f.t.view()); break;
+    case ApplyKind::TSMQR: kernels::tsqrt(ib, a1.view(), f.v.view(), f.t.view()); break;
+    case ApplyKind::TTMQR: kernels::ttqrt(ib, a1.view(), f.v.view(), f.t.view()); break;
+    case ApplyKind::UNMLQ: kernels::gelqt(ib, f.v.view(), f.t.view()); break;
+    case ApplyKind::TSMLQ: kernels::tslqt(ib, a1.view(), f.v.view(), f.t.view()); break;
+    case ApplyKind::TTMLQ: kernels::ttlqt(ib, a1.view(), f.v.view(), f.t.view()); break;
+  }
+  return f;
+}
+
+template <typename T>
+bool bitwise_equal(ConstMatrixView<T> a, ConstMatrixView<T> b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::int64_t j = 0; j < a.cols(); ++j)
+    if (std::memcmp(a.col(j), b.col(j), size_t(a.rows()) * sizeof(T)) != 0) return false;
+  return true;
+}
+
+class ApplyContract : public ::testing::TestWithParam<ApplyContractParam> {};
+
+template <typename T>
+void check_nan_outside_region(ApplyKind kind, int ib) {
+  const int nb = 40;
+  const auto f = factor_for<T>(kind, nb, ib);
+  const T nan = T(std::numeric_limits<double>::quiet_NaN());
+  Matrix<T> vn(nb, nb), tn(ib, nb);
+  copy(f.v.view(), vn.view());
+  copy(f.t.view(), tn.view());
+  for (std::int64_t j = 0; j < nb; ++j) {
+    for (std::int64_t i = 0; i < nb; ++i)
+      if (f.outside_region(i, j)) vn(i, j) = nan;
+    for (std::int64_t r = j % ib + 1; r < ib; ++r) tn(r, j) = nan;  // below each T block
+  }
+  for (ApplyTrans trans : {ApplyTrans::ConjTrans, ApplyTrans::NoTrans}) {
+    auto c1 = random_matrix<T>(nb, nb, 73);
+    auto c2 = random_matrix<T>(nb, nb, 74);
+    Matrix<T> d1(nb, nb), d2(nb, nb);
+    copy(c1.view(), d1.view());
+    copy(c2.view(), d2.view());
+    f.apply(trans, f.v.view(), f.t.view(), c1.view(), c2.view());
+    f.apply(trans, vn.view(), tn.view(), d1.view(), d2.view());
+    const char* dir = trans == ApplyTrans::NoTrans ? "Q" : "Q^H";
+    EXPECT_TRUE(bitwise_equal<T>(c1.view(), d1.view())) << apply_kind_name(kind) << " " << dir;
+    EXPECT_TRUE(bitwise_equal<T>(c2.view(), d2.view())) << apply_kind_name(kind) << " " << dir;
+  }
+}
+
+template <typename T>
+void check_column_subsets(ApplyKind kind, int ib) {
+  const int nb = 40;
+  const auto f = factor_for<T>(kind, nb, ib);
+  const blas::simd::Tier saved = blas::simd::active_tier();
+  for (blas::simd::Tier tier : blas::simd::available_tiers()) {
+    ASSERT_TRUE(blas::simd::set_tier(tier));
+    for (ApplyTrans trans : {ApplyTrans::ConjTrans, ApplyTrans::NoTrans}) {
+      auto c1 = random_matrix<T>(nb, nb, 75);
+      auto c2 = random_matrix<T>(nb, nb, 76);
+      Matrix<T> full1(nb, nb), full2(nb, nb);
+      copy(c1.view(), full1.view());
+      copy(c2.view(), full2.view());
+      f.apply(trans, f.v.view(), f.t.view(), full1.view(), full2.view());
+      for (int j : {1, 3, 5}) {
+        Matrix<T> p1(nb, j), p2(nb, j);
+        copy(c1.sub(0, 0, nb, j), p1.view());
+        copy(c2.sub(0, 0, nb, j), p2.view());
+        f.apply(trans, f.v.view(), f.t.view(), p1.view(), p2.view());
+        EXPECT_TRUE(bitwise_equal<T>(p1.view(), full1.sub(0, 0, nb, j)))
+            << apply_kind_name(kind) << " tier " << blas::simd::tier_name(tier) << " j=" << j;
+        EXPECT_TRUE(bitwise_equal<T>(p2.view(), full2.sub(0, 0, nb, j)))
+            << apply_kind_name(kind) << " tier " << blas::simd::tier_name(tier) << " j=" << j;
+      }
+    }
+  }
+  blas::simd::set_tier(saved);
+}
+
+TEST_P(ApplyContract, NanOutsideReflectorRegionIsNeverRead) {
+  check_nan_outside_region<double>(GetParam().kind, GetParam().ib);
+  check_nan_outside_region<std::complex<double>>(GetParam().kind, GetParam().ib);
+}
+
+TEST_P(ApplyContract, LeadingColumnsMatchFullApplyBitwise) {
+  check_column_subsets<double>(GetParam().kind, GetParam().ib);
+  check_column_subsets<std::complex<double>>(GetParam().kind, GetParam().ib);
+}
+
+std::vector<ApplyContractParam> apply_contract_params() {
+  std::vector<ApplyContractParam> out;
+  for (ApplyKind k : {ApplyKind::UNMQR, ApplyKind::TSMQR, ApplyKind::TTMQR, ApplyKind::UNMLQ,
+                      ApplyKind::TSMLQ, ApplyKind::TTMLQ})
+    for (int ib : {7, 16, 40}) out.push_back({k, ib});
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(RaggedIb, ApplyContract, ::testing::ValuesIn(apply_contract_params()),
+                         [](const auto& inst) {
+                           return std::string(apply_kind_name(inst.param.kind)) + "_ib" +
+                                  std::to_string(inst.param.ib);
+                         });
 
 }  // namespace
 }  // namespace tiledqr

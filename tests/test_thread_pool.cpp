@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -282,6 +283,17 @@ TEST(ThreadPool, EmptyGraphCompletesImmediately) {
 
 // -------------------------------------------------------- streaming grafts --
 
+/// Stream::wait() returns once the components have retired, and a component
+/// counts as retired just before its completion callback runs (so the
+/// callback's effects imply retired()). The last callback may therefore still
+/// be running when wait() returns: give callbacks a bounded moment to land
+/// before checking their effects.
+template <typename Pred>
+void await_callbacks(Pred landed) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!landed() && std::chrono::steady_clock::now() < deadline) std::this_thread::yield();
+}
+
 TEST(ThreadPoolStream, AppendsGraftOntoLiveSubmission) {
   ThreadPool pool(4);
   auto g = qr_graph(6, 3);
@@ -304,6 +316,7 @@ TEST(ThreadPoolStream, AppendsGraftOntoLiveSubmission) {
   EXPECT_EQ(stream.generation(), kComponents);
   stream.wait();
   EXPECT_EQ(stream.retired(), kComponents);
+  await_callbacks([&] { return completions.load() == kComponents; });
   EXPECT_EQ(completions.load(), kComponents);
   const long expect = long(g.tasks.size()) * long(g.tasks.size() - 1) / 2;
   for (int i = 0; i < kComponents; ++i) EXPECT_EQ(sums[size_t(i)]->load(), expect) << i;
@@ -334,6 +347,7 @@ TEST(ThreadPoolStream, ComponentFailureDoesNotCancelSiblings) {
   }, [&](std::exception_ptr e) { bad_failed.store(e != nullptr); });
   stream.append(g, [&](std::int32_t) { good_tasks.fetch_add(1); });
   stream.wait();
+  await_callbacks([&] { return bad_failed.load(); });
   EXPECT_TRUE(bad_failed.load());
   EXPECT_EQ(good_tasks.load(), long(g.tasks.size()));
   // The stream keeps accepting work after a component failure.
@@ -442,7 +456,12 @@ TEST(ThreadPoolStream, TwoStreamsInterleaveFairly) {
   stream_b.wait();
   stream_a.close();
   stream_b.close();
+  await_callbacks([&] {
+    std::lock_guard<std::mutex> lock(order_mu);
+    return order.size() == size_t(2 * k);
+  });
 
+  std::lock_guard<std::mutex> lock(order_mu);
   ASSERT_EQ(order.size(), size_t(2 * k));
   // Strict per-worker alternation merged across two workers (plus bounded
   // steal and record-reorder effects) keeps every prefix nearly balanced;
