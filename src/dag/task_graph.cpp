@@ -186,7 +186,12 @@ void infer_dependencies(int p, int q, std::vector<Task>& tasks) {
   for (auto& t : tasks) {
     t.npred = 0;
     t.succ.clear();
-    TILEDQR_CHECK(t.i >= 0 && t.i < p && t.k >= 0 && t.k < q,
+    const KernelKind dual = kernels::qr_dual(t.kind);
+    const bool has_piv = dual != KernelKind::GEQRT && dual != KernelKind::UNMQR;
+    const bool has_j =
+        dual == KernelKind::UNMQR || dual == KernelKind::TSMQR || dual == KernelKind::TTMQR;
+    TILEDQR_CHECK(t.i >= 0 && t.i < p && t.k >= 0 && t.k < q &&
+                      (!has_piv || (t.piv >= 0 && t.piv < p)) && (!has_j || (t.j >= 0 && t.j < q)),
                   "infer_dependencies: task coordinates outside the p x q grid");
   }
   DependencyTracker deps(p, q, tasks);

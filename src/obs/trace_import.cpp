@@ -1,214 +1,51 @@
 #include "obs/trace_import.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "kernels/kernels.hpp"
 
 namespace tiledqr::obs {
 
 namespace {
 
-// Minimal JSON value + recursive-descent parser — just enough for the
-// exporter's output (and tolerant of fields it doesn't know). Kept local:
-// the library has no JSON dependency and this is the only import site.
-struct Json {
-  enum class Type { Null, Bool, Number, String, Array, Object };
-  Type type = Type::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
+// The importer ignores what it does not understand: a field that is absent or
+// of another type takes its default. A number that is present must fit.
+const json::Value* typed(const json::Value* obj, const char* key, json::Type type) {
+  const json::Value* v = obj != nullptr ? obj->find(key) : nullptr;
+  return v != nullptr && v->type() == type ? v : nullptr;
+}
 
-  [[nodiscard]] const Json* find(const std::string& k) const {
-    auto it = obj.find(k);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] double num_or(double fallback) const {
-    return type == Type::Number ? number : fallback;
-  }
-};
+template <class I>
+I int_field(const json::Value* obj, const char* key, I fallback) {
+  const json::Value* v = typed(obj, key, json::Type::Number);
+  return v != nullptr ? v->as_int<I>(key) : fallback;
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(std::istream& in) {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text_ = buf.str();
-  }
+std::string_view string_field(const json::Value* obj, const char* key) {
+  const json::Value* v = typed(obj, key, json::Type::String);
+  return v != nullptr ? std::string_view(v->as_string(key)) : std::string_view();
+}
 
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    TILEDQR_CHECK(pos_ == text_.size(), "trace import: trailing data after JSON document");
-    return v;
-  }
+// Microseconds to nanoseconds, bounded to +-2^62 ns (about 146 years) so that
+// start + duration cannot overflow.
+std::int64_t ns_field(const json::Value& ev, const char* key) {
+  const json::Value* v = typed(&ev, key, json::Type::Number);
+  const double ns = v != nullptr ? std::round(v->as_number(key) * 1000.0) : 0.0;
+  TILEDQR_CHECK(std::abs(ns) <= 0x1p62, std::string("trace import: \"") + key + "\" too large");
+  return std::int64_t(ns);
+}
 
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    TILEDQR_CHECK(pos_ < text_.size(), "trace import: unexpected end of JSON");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    TILEDQR_CHECK(peek() == c, std::string("trace import: expected '") + c + "' at offset " +
-                                   std::to_string(pos_));
-    ++pos_;
-  }
-
-  Json value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        Json v;
-        v.type = Json::Type::String;
-        v.str = string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        Json v;
-        v.type = Json::Type::Bool;
-        v.boolean = text_[pos_] == 't';
-        literal(v.boolean ? "true" : "false");
-        return v;
-      }
-      case 'n': {
-        literal("null");
-        return Json{};
-      }
-      default: return number();
-    }
-  }
-
-  void literal(const char* word) {
-    for (const char* c = word; *c != '\0'; ++c, ++pos_) {
-      TILEDQR_CHECK(pos_ < text_.size() && text_[pos_] == *c,
-                    std::string("trace import: bad literal, expected ") + word);
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      TILEDQR_CHECK(pos_ < text_.size(), "trace import: unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      TILEDQR_CHECK(pos_ < text_.size(), "trace import: unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          TILEDQR_CHECK(pos_ + 4 <= text_.size(), "trace import: bad \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= unsigned(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= unsigned(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= unsigned(h - 'A' + 10);
-            else TILEDQR_CHECK(false, "trace import: bad \\u escape digit");
-          }
-          // The exporter only emits \u00XX control escapes; anything wider
-          // degrades to '?' rather than growing a UTF-8 encoder here.
-          out += code < 0x80 ? char(code) : '?';
-          break;
-        }
-        default: TILEDQR_CHECK(false, "trace import: unknown escape");
-      }
-    }
-  }
-
-  Json number() {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '-' ||
-            text_[pos_] == '+')) {
-      ++pos_;
-    }
-    TILEDQR_CHECK(pos_ > start, "trace import: expected a JSON value at offset " +
-                                    std::to_string(start));
-    Json v;
-    v.type = Json::Type::Number;
-    v.number = std::stod(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  Json array() {
-    expect('[');
-    Json v;
-    v.type = Json::Type::Array;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr.push_back(value());
-      char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      TILEDQR_CHECK(c == ',', "trace import: expected ',' or ']' in array");
-    }
-  }
-
-  Json object() {
-    expect('{');
-    Json v;
-    v.type = Json::Type::Object;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = string();
-      expect(':');
-      v.obj.emplace(std::move(key), value());
-      char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      TILEDQR_CHECK(c == ',', "trace import: expected ',' or '}' in object");
-    }
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-std::uint8_t kind_from_name(const std::string& name) {
+std::uint8_t kind_from_name(std::string_view name) {
   for (int k = 0; k < kernels::kNumKernelKinds; ++k) {
     if (name == kernels::kernel_name(static_cast<kernels::KernelKind>(k))) {
       return std::uint8_t(k);
@@ -217,14 +54,14 @@ std::uint8_t kind_from_name(const std::string& name) {
   return TraceEvent::kNonKernel;
 }
 
-std::int64_t us_to_ns(double us) { return std::llround(us * 1000.0); }
-
 }  // namespace
 
 std::vector<TrackSnapshot> import_chrome_json(std::istream& in) {
-  Json doc = JsonParser(in).parse();
-  const Json* events = doc.find("traceEvents");
-  TILEDQR_CHECK(events != nullptr && events->type == Json::Type::Array,
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const json::Value doc = json::parse(buf.str(), "trace import");
+  const json::Value* events = doc.find("traceEvents");
+  TILEDQR_CHECK(events != nullptr && events->type() == json::Type::Array,
                 "trace import: no traceEvents array in document");
 
   std::map<int, TrackSnapshot> tracks;
@@ -238,45 +75,31 @@ std::vector<TrackSnapshot> import_chrome_json(std::istream& in) {
     return it->second;
   };
 
-  for (const auto& ev : events->arr) {
-    if (ev.type != Json::Type::Object) continue;
-    const Json* ph = ev.find("ph");
-    const Json* name = ev.find("name");
-    const Json* tid = ev.find("tid");
-    if (ph == nullptr || ph->type != Json::Type::String || tid == nullptr) continue;
-    const int t = int(tid->num_or(0));
-    const Json* args = ev.find("args");
+  for (const json::Value& ev : events->as_array("traceEvents")) {
+    const std::string_view ph = string_field(&ev, "ph");
+    if (ph.empty() || ev.find("tid") == nullptr) continue;
+    const int t = int_field(&ev, "tid", 0);
+    const json::Value* args = ev.find("args");
 
-    if (ph->str == "M") {
-      if (name != nullptr && name->str == "thread_name" && args != nullptr) {
-        if (const Json* n = args->find("name"); n != nullptr && !n->str.empty()) {
-          track(t).name = n->str;
-        }
-      }
+    if (ph == "M") {
+      const std::string_view n = string_field(args, "name");
+      if (string_field(&ev, "name") == "thread_name" && !n.empty()) track(t).name = n;
       continue;
     }
-    if (ph->str != "X") continue;
+    if (ph != "X") continue;
 
     TraceEvent e;
-    const Json* ts = ev.find("ts");
-    const Json* dur = ev.find("dur");
-    e.start_ns = us_to_ns(ts != nullptr ? ts->num_or(0) : 0);
-    e.end_ns = e.start_ns + us_to_ns(dur != nullptr ? dur->num_or(0) : 0);
-    e.kind = name != nullptr ? kind_from_name(name->str) : TraceEvent::kNonKernel;
-    if (args != nullptr) {
-      auto get = [&](const char* k, double fallback) {
-        const Json* v = args->find(k);
-        return v != nullptr ? v->num_or(fallback) : fallback;
-      };
-      e.i = std::int32_t(get("i", -1));
-      e.piv = std::int32_t(get("piv", -1));
-      e.k = std::int32_t(get("k", -1));
-      e.j = std::int32_t(get("j", -1));
-      e.task = std::int32_t(get("task", -1));
-      e.submission = std::uint32_t(get("sub", 0));
-      e.component = std::int32_t(get("component", 0));
-      if (get("stolen", 0) != 0) e.flags |= TraceEvent::kFlagStolen;
-    }
+    e.start_ns = ns_field(ev, "ts");
+    e.end_ns = e.start_ns + ns_field(ev, "dur");
+    e.kind = kind_from_name(string_field(&ev, "name"));
+    e.i = int_field<std::int32_t>(args, "i", -1);
+    e.piv = int_field<std::int32_t>(args, "piv", -1);
+    e.k = int_field<std::int32_t>(args, "k", -1);
+    e.j = int_field<std::int32_t>(args, "j", -1);
+    e.task = int_field<std::int32_t>(args, "task", -1);
+    e.submission = int_field<std::uint32_t>(args, "sub", 0);
+    e.component = int_field<std::int32_t>(args, "component", 0);
+    if (int_field(args, "stolen", 0) != 0) e.flags |= TraceEvent::kFlagStolen;
     track(t).events.push_back(e);
   }
 

@@ -21,7 +21,9 @@ namespace tiledqr::obs {
 
 /// Parses a Chrome trace_event JSON document into per-thread snapshots
 /// (one TrackSnapshot per tid, events in file order). Throws tiledqr::Error
-/// on malformed JSON or a document without a traceEvents array.
+/// on malformed JSON, a document without a traceEvents array, or a numeric
+/// field that does not fit its TraceEvent member (tid and the integer args
+/// must be integers in range; ts and dur within +-2^62 ns).
 [[nodiscard]] std::vector<TrackSnapshot> import_chrome_json(std::istream& in);
 [[nodiscard]] std::vector<TrackSnapshot> import_chrome_json(const std::string& path);
 

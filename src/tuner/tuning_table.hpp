@@ -86,7 +86,7 @@ class TuningTable {
 
   /// Parses a document produced by to_json(); throws tiledqr::Error on
   /// malformed input. Stats are restored along with the entries.
-  [[nodiscard]] static TuningTable from_json(std::string_view json);
+  [[nodiscard]] static TuningTable from_json(std::string_view text);
 
   /// File flavors of to_json/from_json; save/load throw tiledqr::Error on
   /// I/O or parse failure, load_or_empty returns a fresh table when the file

@@ -155,6 +155,13 @@ TEST(TaskGraph, InferDependenciesReproducesBuilderEdges) {
       }
     }
   }
+  // Coordinates from a trace file are outside input: a pivot row or update
+  // column the kernel reads must lie on the grid.
+  std::vector<dag::Task> bad{dag::Task{KernelKind::GEQRT, 0, -1, 0, -1, 0, {}},
+                             dag::Task{KernelKind::TSQRT, 1, -1, 0, -1, 0, {}}};
+  EXPECT_THROW(dag::infer_dependencies(2, 1, bad), Error);
+  bad = {dag::Task{KernelKind::UNMQR, 0, -1, 0, 2, 0, {}}};
+  EXPECT_THROW(dag::infer_dependencies(1, 2, bad), Error);
 }
 
 TEST(TaskGraph, Lemma1TransformPreservesCriticalPathLength) {

@@ -1,6 +1,6 @@
 // Tests for the observability layer: the per-thread trace collector
 // (begin/end pairing, ring overflow accounting, disabled-mode cost contract),
-// the Chrome trace_event exporter (validated by a test-side JSON parser),
+// the Chrome trace_event exporter (validated through json::parse),
 // the unified metrics registry (sources, retirement, named metrics,
 // snapshots), the kernel profiler -> WeightProfile bridge, and the post-run
 // schedule report.
@@ -20,11 +20,11 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/qr_session.hpp"
 #include "dag/task_graph.hpp"
 #include "matrix/generate.hpp"
@@ -40,186 +40,6 @@
 
 namespace tiledqr {
 namespace {
-
-// ------------------------------------------------------------------------
-// A deliberately independent JSON reader: the exporter must produce JSON a
-// parser that never saw its writer accepts. Throws std::runtime_error on
-// malformed input.
-struct Json {
-  enum class Type { Null, Bool, Number, String, Array, Object };
-  Type type = Type::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::map<std::string, Json> object;
-
-  [[nodiscard]] const Json& at(const std::string& key) const {
-    auto it = object.find(key);
-    if (it == object.end()) throw std::runtime_error("missing key: " + key);
-    return it->second;
-  }
-  [[nodiscard]] bool has(const std::string& key) const { return object.count(key) != 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != s_.size()) throw std::runtime_error("trailing characters");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) throw std::runtime_error("unexpected end of input");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) throw std::runtime_error(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(const char* lit) {
-    std::size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  Json value() {
-    skip_ws();
-    char c = peek();
-    Json v;
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      v.type = Json::Type::String;
-      v.string = string();
-      return v;
-    }
-    if (consume("true")) {
-      v.type = Json::Type::Bool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume("false")) {
-      v.type = Json::Type::Bool;
-      return v;
-    }
-    if (consume("null")) return v;
-    return number();
-  }
-
-  Json object() {
-    Json v;
-    v.type = Json::Type::Object;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object[key] = value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Json array() {
-    Json v;
-    v.type = Json::Type::Array;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= s_.size()) throw std::runtime_error("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) throw std::runtime_error("raw control char");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) throw std::runtime_error("bad \\u escape");
-          int code = std::stoi(s_.substr(pos_, 4), nullptr, 16);
-          pos_ += 4;
-          out += code < 0x80 ? char(code) : '?';  // ASCII is all the writer emits
-          break;
-        }
-        default: throw std::runtime_error("unknown escape");
-      }
-    }
-  }
-
-  Json number() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    std::size_t used = 0;
-    std::string token = s_.substr(start, pos_ - start);
-    double v = std::stod(token, &used);
-    if (used != token.size()) throw std::runtime_error("malformed number: " + token);
-    Json j;
-    j.type = Json::Type::Number;
-    j.number = v;
-    return j;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 // ------------------------------------------------------------------------
 // Trace tests share the process-global tracer; each test starts and ends
@@ -238,18 +58,18 @@ struct TracerGuard {
 };
 
 /// Chrome-trace "X" events of one exported JSON document.
-std::vector<Json> slice_events(const Json& doc) {
-  std::vector<Json> out;
-  for (const Json& e : doc.at("traceEvents").array)
-    if (e.at("ph").string == "X") out.push_back(e);
+std::vector<json::Value> slice_events(const json::Value& doc) {
+  std::vector<json::Value> out;
+  for (const json::Value& e : doc.at("traceEvents").as_array("traceEvents"))
+    if (e.at("ph").as_string("ph") == "X") out.push_back(e);
   return out;
 }
 
-std::map<int, std::string> thread_names(const Json& doc) {
+std::map<int, std::string> thread_names(const json::Value& doc) {
   std::map<int, std::string> names;
-  for (const Json& e : doc.at("traceEvents").array)
-    if (e.at("ph").string == "M" && e.at("name").string == "thread_name")
-      names[int(e.at("tid").number)] = e.at("args").at("name").string;
+  for (const json::Value& e : doc.at("traceEvents").as_array("traceEvents"))
+    if (e.at("ph").as_string("ph") == "M" && e.at("name").as_string("name") == "thread_name")
+      names[e.at("tid").as_int<int>("tid")] = e.at("args").at("name").as_string("name");
   return names;
 }
 
@@ -376,29 +196,30 @@ TEST(Trace, ExportedJsonIsValidAndComplete) {
 
   std::ostringstream out;
   guard.tracer.export_chrome_json(out);
-  Json doc = JsonParser(out.str()).parse();
+  json::Value doc = json::parse(out.str(), "trace");
 
-  EXPECT_EQ(doc.at("displayTimeUnit").string, "ms");
+  EXPECT_EQ(doc.at("displayTimeUnit").as_string("displayTimeUnit"), "ms");
   auto names = thread_names(doc);
   bool named = false;
   for (const auto& [tid, name] : names) named = named || name == "export.w0";
   EXPECT_TRUE(named);
 
   int matched = 0;
-  for (const Json& e : slice_events(doc)) {
+  for (const json::Value& e : slice_events(doc)) {
     // Complete events: non-negative microsecond timestamps and durations,
     // a tid with thread_name metadata, kernel-kind slice names.
-    EXPECT_GE(e.at("ts").number, 0.0);
-    EXPECT_GE(e.at("dur").number, 0.0);
-    EXPECT_TRUE(names.count(int(e.at("tid").number))) << "unnamed tid";
-    if (names[int(e.at("tid").number)] != "export.w0") continue;
+    EXPECT_GE(e.at("ts").as_number("ts"), 0.0);
+    EXPECT_GE(e.at("dur").as_number("dur"), 0.0);
+    EXPECT_TRUE(names.count(e.at("tid").as_int<int>("tid"))) << "unnamed tid";
+    if (names[e.at("tid").as_int<int>("tid")] != "export.w0") continue;
     ++matched;
-    EXPECT_EQ(e.at("dur").number, 500.0 / 1000.0);  // 500 ns = 0.5 us
-    EXPECT_TRUE(e.at("args").has("i"));
-    EXPECT_TRUE(e.at("args").has("sub"));
+    EXPECT_EQ(e.at("dur").as_number("dur"), 500.0 / 1000.0);  // 500 ns = 0.5 us
+    EXPECT_NE(e.at("args").find("i"), nullptr);
+    EXPECT_NE(e.at("args").find("sub"), nullptr);
     static const std::set<std::string> kKernels{"GEQRT", "UNMQR", "TSQRT",
                                                "TSMQR", "TTQRT", "TTMQR"};
-    EXPECT_TRUE(kKernels.count(e.at("name").string)) << e.at("name").string;
+    const std::string& name = e.at("name").as_string("name");
+    EXPECT_TRUE(kKernels.count(name)) << name;
   }
   EXPECT_EQ(matched, 10);
 }
@@ -469,7 +290,7 @@ TEST(Trace, ExportNowInsertsUniqueSuffix) {
     ASSERT_TRUE(in.good()) << path;
     std::stringstream buf;
     buf << in.rdbuf();
-    Json doc = JsonParser(buf.str()).parse();
+    json::Value doc = json::parse(buf.str(), "trace");
     EXPECT_EQ(slice_events(doc).size(), 1u) << path;
   }
   std::remove(p1.c_str());
@@ -533,9 +354,14 @@ TEST(Metrics, JsonDumpParses) {
   obs::MetricsRegistry reg;
   reg.counter("a.count").add(1);
   reg.histogram("h").record_ns(500);
-  Json doc = JsonParser(reg.snapshot().to_json()).parse();
-  EXPECT_EQ(doc.at("a.count").number, 1.0);
-  EXPECT_EQ(doc.at("h.count").number, 1.0);
+  // Counter names come from callers (a FactorStream label, say): control
+  // characters must be escaped, not written raw, and read back unchanged.
+  const std::string hostile = "label\n\x01\"q\\";
+  reg.counter(hostile).add(2);
+  json::Value doc = json::parse(reg.snapshot().to_json(), "metrics dump");
+  EXPECT_EQ(doc.at("a.count").as_number("a.count"), 1.0);
+  EXPECT_EQ(doc.at("h.count").as_number("h.count"), 1.0);
+  EXPECT_EQ(doc.at(hostile).as_number(hostile), 2.0);
   EXPECT_FALSE(reg.snapshot().to_text().empty());
 }
 
@@ -856,6 +682,32 @@ TEST(CriticalPath, ImportRoundTripMatchesDirectAnalysis) {
   }
 }
 
+TEST(CriticalPath, ImportRejectsMalformedTraces) {
+  // One "X" slice whose tid, ts and args vary per case.
+  auto slice = [](const std::string& tid, const std::string& ts, const std::string& args) {
+    return R"({"traceEvents":[{"name":"GEQRT","ph":"X","pid":1,"tid":)" + tid +
+           R"(,"ts":)" + ts + R"(,"dur":1,"args":{)" + args + "}}]}";
+  };
+  // The range limits themselves are accepted.
+  std::istringstream edge(slice("1", "0", R"("sub":4294967295,"component":-2147483648)"));
+  const obs::TraceEvent e = obs::import_chrome_json(edge).at(0).events.at(0);
+  EXPECT_EQ(e.submission, 4294967295u);
+  EXPECT_EQ(e.component, -2147483647 - 1);
+  // Malformed documents, then each integer field past its range.
+  const std::vector<std::string> cases = {
+      std::string(200000, '['), slice("-", "0", ""), slice("1", "1e400", ""),
+      slice("1", "1.2.3", ""), slice("1e300", "0", ""), slice("1", "1e300", ""),
+      slice("1.5", "0", ""), slice("1", "0", R"("i":2147483648)"),
+      slice("1", "0", R"("piv":-2147483649)"), slice("1", "0", R"("k":1e10)"),
+      slice("1", "0", R"("j":3e9)"), slice("1", "0", R"("task":2147483648)"),
+      slice("1", "0", R"("sub":-1)"), slice("1", "0", R"("sub":4294967296)"),
+      slice("1", "0", R"("component":2147483648)")};
+  for (const std::string& doc : cases) {
+    std::istringstream in(doc);
+    EXPECT_THROW((void)obs::import_chrome_json(in), Error) << doc.substr(0, 160);
+  }
+}
+
 // ------------------------------------------------------------------------
 // Health: the live watchdog layer. Real pools, real sleeps — thresholds are
 // chosen with wide margins so shared/TSan runners don't flake.
@@ -976,7 +828,7 @@ TEST(ObsSmoke, TracedFactorizationExportsLoadableChromeTrace) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  Json doc = JsonParser(buf.str()).parse();
+  json::Value doc = json::parse(buf.str(), "trace");
 
   // One track per pool worker, named by the instrumentation.
   auto names = thread_names(doc);
@@ -991,11 +843,12 @@ TEST(ObsSmoke, TracedFactorizationExportsLoadableChromeTrace) {
   static const std::set<std::string> kKernels{"GEQRT", "UNMQR", "TSQRT",
                                              "TSMQR", "TTQRT", "TTMQR"};
   std::set<std::string> seen;
-  for (const Json& e : slices) {
-    ASSERT_TRUE(names.count(int(e.at("tid").number)));
-    ASSERT_TRUE(kKernels.count(e.at("name").string)) << e.at("name").string;
-    seen.insert(e.at("name").string);
-    EXPECT_GE(e.at("dur").number, 0.0);
+  for (const json::Value& e : slices) {
+    ASSERT_TRUE(names.count(e.at("tid").as_int<int>("tid")));
+    const std::string& name = e.at("name").as_string("name");
+    ASSERT_TRUE(kKernels.count(name)) << name;
+    seen.insert(name);
+    EXPECT_GE(e.at("dur").as_number("dur"), 0.0);
   }
   // An 8x4 tile grid exercises the panel kernel and its updates at minimum.
   EXPECT_GE(seen.size(), 2u);
@@ -1057,13 +910,19 @@ TEST(ObsSmoke, CriticalPathBreakdownReconcilesWithReport) {
   guard.tracer.mark();
   auto a = random_matrix<double>(96, 48, 0x54);
   (void)session.submit(ConstMatrixView<double>(a.view()), opt).get();
+  // The future resolves inside the last task's body, just before its worker
+  // records that task's event: give the event a bounded moment to land.
+  auto plan = session.plan_cache().get(6, 3, *opt.tree);
+  const std::size_t traced = 2 * plan->graph.tasks.size();  // warm-up + measured run
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (guard.tracer.event_count() < traced && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
 
   // The live health snapshot carries the schedule report while tracing.
   const std::string health = session.health_report();
   EXPECT_NE(health.find("critical path ("), std::string::npos);
   guard.tracer.disable();
 
-  auto plan = session.plan_cache().get(6, 3, *opt.tree);
   const auto report = obs::build_schedule_report(guard.tracer, plan->graph, 2);
   const obs::CriticalPathBreakdown& b = report.breakdown;
   ASSERT_TRUE(b.valid);

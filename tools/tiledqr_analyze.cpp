@@ -59,6 +59,11 @@ tiledqr::dag::TaskGraph rebuild_graph(const std::vector<const TraceEvent*>& even
     TILEDQR_CHECK(e.task == std::int32_t(n),
                   "trace group is not a complete factorization: task indices must "
                   "cover 0..n-1 exactly (dropped events?)");
+    // Every tile row and column holds at least one task, so a coordinate
+    // past the task count is corrupt; checked before it sizes the grid.
+    TILEDQR_CHECK(std::min({e.i, e.piv, e.k, e.j}) >= -1 &&
+                      std::max({e.i, e.piv, e.k, e.j}) < std::int32_t(sorted.size()),
+                  "trace group: tile coordinates outside the task count");
     tiledqr::dag::Task t{static_cast<tiledqr::kernels::KernelKind>(e.kind),
                          e.i, e.piv, e.k, e.j, 0, {}};
     p = std::max({p, e.i + 1, e.piv + 1});
