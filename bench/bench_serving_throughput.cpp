@@ -214,44 +214,6 @@ FusedOverheadResult run_fused_overhead(int p, int q, int threads, int batch, int
   return out;
 }
 
-// ------------------------------------------------------ multicore scaling --
-
-/// One point of the multicore scaling sweep: the pool-batch workload on
-/// `threads` workers with pinning on/off, plus the scheduler's contention
-/// and locality counters for that run. TILEDQR_PIN is read at pool
-/// construction, so each point builds a fresh session.
-struct ScalingRow {
-  int threads = 0;
-  bool pinned = false;
-  double per_sec = 0.0;
-  double speedup_vs_1t = 0.0;
-  long tasks_stolen = 0;
-  long steal_cas_retries = 0;
-  long empty_steal_probes = 0;
-  long tasks_home = 0;
-  long tasks_foreign = 0;
-  std::int64_t steal_lat_p50_ns = 0;  ///< successful-steal scan latency, bucket upper bound
-  std::int64_t steal_lat_p95_ns = 0;
-};
-
-ScalingRow run_scaling_point(const Workload& w, int threads, bool pinned, int reps) {
-  setenv("TILEDQR_PIN", pinned ? "1" : "0", 1);
-  core::QrSession session(core::QrSession::Config{threads});
-  ScalingRow row;
-  row.threads = threads;
-  row.pinned = pinned;
-  row.per_sec = run_pool_batch(session, w, reps).per_sec;
-  const auto stats = session.pool_stats();
-  row.tasks_stolen = stats.tasks_stolen;
-  row.steal_cas_retries = stats.steal_cas_retries;
-  row.empty_steal_probes = stats.empty_steal_probes;
-  row.tasks_home = stats.tasks_home;
-  row.tasks_foreign = stats.tasks_foreign;
-  row.steal_lat_p50_ns = stats.steal_latency_quantile_ns(0.50);
-  row.steal_lat_p95_ns = stats.steal_latency_quantile_ns(0.95);
-  return row;
-}
-
 }  // namespace
 
 int main() {
@@ -323,35 +285,16 @@ int main() {
   // ---- multicore scaling ------------------------------------------------ --
   // The same small-QR batch swept across worker counts, pinned and unpinned
   // (TILEDQR_PIN), in pool-batch mode — per-matrix submissions in flight at
-  // once, the shape that exercises dealing and stealing hardest. Steal
-  // contention (lost top-CAS races, empty sweep probes) and the
-  // home-vs-foreign locality split land next to each throughput point so
-  // scaling claims carry their scheduler evidence. Results above
-  // hardware_threads worker counts are oversubscribed — recorded anyway so
-  // the curve is honest about the host.
-  const char* saved_pin = std::getenv("TILEDQR_PIN");
-  std::vector<ScalingRow> scaling;
+  // once, the shape that exercises dealing and stealing hardest.
   const int scaling_reps = std::max(2, knobs.reps);
-  std::printf("multicore scaling (pool-batch, %d x %lldx%lld nb=%d, best of %d):\n", count,
-              (long long)small_n, (long long)small_n, small_nb, scaling_reps);
-  std::printf("  %7s %6s %10s %9s %8s %8s %8s %9s %9s %9s %9s\n", "threads", "pinned", "fact/s",
-              "speedup", "stolen", "cas_ret", "empty", "home", "foreign", "st_p50us", "st_p95us");
-  for (int t : {1, 2, 4, 8}) {
-    for (bool pinned : {false, true}) {
-      auto row = run_scaling_point(small, t, pinned, scaling_reps);
-      const double base =
-          scaling.empty() ? row.per_sec : scaling.front().per_sec;  // 1t unpinned
-      row.speedup_vs_1t = row.per_sec / base;
-      std::printf("  %7d %6s %10.1f %8.2fx %8ld %8ld %8ld %9ld %9ld %9.1f %9.1f\n", row.threads,
-                  row.pinned ? "yes" : "no", row.per_sec, row.speedup_vs_1t, row.tasks_stolen,
-                  row.steal_cas_retries, row.empty_steal_probes, row.tasks_home,
-                  row.tasks_foreign, double(row.steal_lat_p50_ns) / 1e3,
-                  double(row.steal_lat_p95_ns) / 1e3);
-      scaling.push_back(row);
-    }
-  }
-  saved_pin ? setenv("TILEDQR_PIN", saved_pin, 1) : unsetenv("TILEDQR_PIN");
-  std::printf("\n");
+  const auto scaling = bench::scaling_sweep(
+      stringf("pool-batch, %d x %lldx%lld nb=%d, best of %d", count, (long long)small_n,
+              (long long)small_n, small_nb, scaling_reps),
+      /*pin_sweep=*/true, [&](int t) {
+        core::QrSession session(core::QrSession::Config{t});
+        const double per_sec = run_pool_batch(session, small, scaling_reps).per_sec;
+        return std::pair{per_sec, session.pool_stats()};
+      });
 
   // ---- observability overhead ------------------------------------------- --
   // The same real-kernel pool-sequential pass, untraced then traced (best of
@@ -403,8 +346,7 @@ int main() {
     std::ofstream json(json_path);
     json << "{\n"
          << "  \"bench\": \"serving_throughput\",\n"
-         << stringf("  \"host\": {\"hardware_threads\": %u, \"bench_threads\": %d},\n",
-                    std::thread::hardware_concurrency(), threads)
+         << bench::host_json(threads)
          << stringf("  \"small\": {\"count\": %d, \"n\": %lld, \"nb\": %d,\n", count,
                     (long long)small_n, small_nb)
          << stringf("    \"pool_sequential\": {\"seconds\": %.6f, \"per_sec\": %.3f},\n",
@@ -434,20 +376,7 @@ int main() {
                       fo.per_matrix_us_per_graph / fo.fused_us_per_graph);
     }
     json << "],\n";
-    json << "  \"multicore_scaling\": [";
-    for (size_t i = 0; i < scaling.size(); ++i) {
-      const auto& r = scaling[i];
-      json << stringf("%s\n    {\"threads\": %d, \"pinned\": %s, \"per_sec\": %.3f, "
-                      "\"speedup_vs_1t\": %.3f, \"tasks_stolen\": %ld, "
-                      "\"steal_cas_retries\": %ld, \"empty_steal_probes\": %ld, "
-                      "\"tasks_home\": %ld, \"tasks_foreign\": %ld, "
-                      "\"steal_latency_p50_ns\": %lld, \"steal_latency_p95_ns\": %lld}",
-                      i ? "," : "", r.threads, r.pinned ? "true" : "false", r.per_sec,
-                      r.speedup_vs_1t, r.tasks_stolen, r.steal_cas_retries,
-                      r.empty_steal_probes, r.tasks_home, r.tasks_foreign,
-                      (long long)r.steal_lat_p50_ns, (long long)r.steal_lat_p95_ns);
-    }
-    json << "],\n";
+    json << bench::scaling_json(scaling);
     json << stringf("  \"observability\": {\"untraced_seconds\": %.6f, "
                     "\"traced_seconds\": %.6f, \"overhead_ratio\": %.4f,\n",
                     untraced.seconds, traced.seconds, obs_ratio)

@@ -407,7 +407,7 @@ FactorStreamBase::FactorStreamBase(FactorSession& session, FactorSession::Stream
   state_->session = &session;
   state_->worker_cap = session.clamp_cap(opts.threads);
   state_->opts = std::move(opts);
-  state_->stream = session.pool_.open_stream(state_->worker_cap, state_->opts.affinity_hint);
+  state_->stream = session.pool_.open_stream(state_->worker_cap);
   auto& registry = obs::MetricsRegistry::global();
   // Raw State pointer, not the shared_ptr: the handle lives inside State, so
   // a shared capture would be a self-cycle. It deregisters first in State's

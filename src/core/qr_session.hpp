@@ -135,12 +135,6 @@ class FactorSession {
     /// unique "stream<N>" — set it when a process runs several streams whose
     /// stats a dashboard must tell apart (e.g. "bulk" vs "interactive").
     std::string label;
-    /// Component-affinity hint (TILEDQR_AFFINE_STEAL): >= 0 pins every graft
-    /// of this stream to the same home worker (modulo the stream's worker
-    /// set) — use when a client's requests reuse the same tiles and should
-    /// stay in one core's cache across grafts. The default -1 rotates homes
-    /// per component, spreading load while each component still lands whole.
-    int affinity_hint = -1;
   };
 
   FactorSession();

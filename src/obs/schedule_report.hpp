@@ -41,9 +41,16 @@ struct ScheduleReport {
   double utilization = 0.0;
 
   double achieved_seconds = 0.0;   ///< span in seconds
+  /// Distinct traced graphs in the window: (submission, component) groups.
+  long graphs = 0;
   double model_seconds = -1.0;     ///< bounded-sim makespan; < 0 = not computed
-  /// model / achieved when both known (> 1 would mean beating the model,
-  /// < 1 is scheduling + memory overhead the model doesn't see).
+  /// Span of the one traced graph the breakdown joined against the model's
+  /// graph (first start to last end of its group); 0 = none matched.
+  double graph_seconds = 0.0;
+  /// model / graph_seconds when both known (> 1 would mean beating the
+  /// model, < 1 is scheduling + memory overhead the model doesn't see).
+  /// One graph against one graph: a window holding many graphs does not
+  /// dilute it. < 0 = no traced graph matched.
   double model_ratio = -1.0;
 
   /// Realized-critical-path decomposition (graph flavor only): which chain
@@ -61,7 +68,8 @@ struct ScheduleReport {
 
 /// Same, plus the achieved-vs-model comparison: the bounded list-scheduler
 /// makespan of `graph` on `workers` workers under the live kernel-profile
-/// weights (KernelProfiler::global().live_profile()).
+/// weights (KernelProfiler::global().live_profile()), against the span of
+/// the traced graph that build_critical_path_breakdown selects.
 [[nodiscard]] ScheduleReport build_schedule_report(const Tracer& tracer,
                                                    const dag::TaskGraph& graph, int workers);
 

@@ -15,6 +15,7 @@
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
+#include <unistd.h>
 #endif
 
 namespace tiledqr::runtime {
@@ -33,19 +34,32 @@ thread_local int tl_worker = -1;
 obs::Tracer& g_tracer = obs::Tracer::instance();
 obs::KernelProfiler& g_kernel_profiler = obs::KernelProfiler::global();
 
-/// Best-effort worker->core pinning (TILEDQR_PIN). Linux-only; everywhere
-/// else it is a documented no-op, and even on Linux a failed setaffinity
-/// (cgroup cpuset, restricted mask) is ignored — pinning is an optimization,
-/// never a correctness requirement.
-void pin_to_core(int wid) {
+/// CPUs in the process's affinity mask, ascending — the set TILEDQR_PIN pins
+/// workers into, so pinning never leaves an operator's taskset/cpuset. Read
+/// from the main thread (tid = pid), not the calling one: a pool built from
+/// inside another pool's pinned worker must not inherit that worker's one
+/// CPU. Empty off Linux or when the mask cannot be read (no pinning then).
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
 #if defined(__linux__)
-  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(unsigned(wid) % ncpu, &set);
+  if (sched_getaffinity(getpid(), sizeof(set), &set) == 0)
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+#endif
+  return cpus;
+}
+
+/// Best-effort pinning of the calling thread to one CPU. Linux-only; a
+/// failed setaffinity is ignored — pinning is an optimization, never a
+/// correctness requirement.
+void pin_to_cpu([[maybe_unused]] int cpu) {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
   (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)wid;
 #endif
 }
 }  // namespace
@@ -99,8 +113,9 @@ struct ThreadPool::Component {
   /// for trace events. Written once under the submission mutex before any
   /// item is dealt.
   long gen = 0;
-  /// Home worker under component-affine dealing; -1 = dealt spread. Used
-  /// for the home-vs-foreign locality split in stats().
+  /// Home worker of a stream component (dealt whole to it); -1 for a
+  /// one-shot component (sources spread). Used for the home-vs-foreign
+  /// locality split in stats().
   int home = -1;
   std::atomic<bool> failed{false};
   /// Set (with release) after the retiring worker's LAST touch of this
@@ -138,8 +153,8 @@ struct ThreadPool::Submission {
   /// inflight is observed zero again. Stream handles and waiters hold their
   /// own shared_ptrs independently.
   std::shared_ptr<Submission> self_ref;
-  /// Streaming submission: enables front-pruning (above) and routes the deal
-  /// anchor through the pool-level round shared across streams.
+  /// Streaming submission: enables front-pruning (above) and deals each
+  /// component whole to a home worker from the pool-level round.
   bool stream = false;
   /// Trace id: which submission an event belongs to (unique across pools and
   /// the sequential executor).
@@ -165,13 +180,6 @@ struct ThreadPool::Submission {
   std::atomic<bool> done{false};  ///< closed && everything retired
   int first_worker = 0;
   int worker_count = 0;
-  /// Home anchor under affine dealing: >= 0 pins every component of this
-  /// stream to the same slot of its worker set; < 0 rotates per component.
-  int affinity_hint = -1;
-  /// Rotates the deal anchor within the worker set per append, so a
-  /// one-shot-heavy workload spreads sources instead of always loading the
-  /// same worker first.
-  std::atomic<unsigned> deal_round{0};
 };
 
 /// Per-worker ready set: a fixed array of lanes, one Chase–Lev deque per
@@ -261,8 +269,7 @@ struct ThreadPool::Worker {
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = default_thread_count();
-  pin_workers_ = env_flag("TILEDQR_PIN", false);
-  affine_steal_ = env_flag("TILEDQR_AFFINE_STEAL", true);
+  if (env_flag("TILEDQR_PIN", false)) pin_cpus_ = allowed_cpus();
   label_ = obs::MetricsRegistry::global().unique_label("pool");
   workers_.reserve(size_t(threads));
   for (int w = 0; w < threads; ++w) workers_.push_back(std::make_unique<Worker>());
@@ -293,15 +300,10 @@ ThreadPool::ThreadPool(int threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    // Drain: finish everything already submitted before stopping.
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    sleep_cv_.wait(lock, [&] { return active_submissions_.load(std::memory_order_acquire) == 0; });
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    stop_.store(true, std::memory_order_seq_cst);
-  }
-  sleep_cv_.notify_all();
+  // Drain: finish everything already submitted before stopping.
+  help_until(-1, [&] { return active_submissions_.load(std::memory_order_acquire) == 0; });
+  stop_.store(true, std::memory_order_seq_cst);
+  signal_work();
   for (auto& th : threads_) th.join();
 }
 
@@ -381,11 +383,6 @@ std::vector<ThreadPool::WorkerProbe> ThreadPool::probe_workers() const {
     p.running_task = wk.running_task.load(std::memory_order_relaxed);
     p.running_kind = wk.running_kind.load(std::memory_order_relaxed);
     p.last_finish_ns = wk.last_finish.load(std::memory_order_acquire);
-    p.tasks_home = wk.tasks_home.load(std::memory_order_relaxed);
-    p.tasks_foreign = wk.tasks_foreign.load(std::memory_order_relaxed);
-    for (int k = 0; k < kStealLatencyBuckets; ++k)
-      p.steal_latency_hist[std::size_t(k)] =
-          wk.steal_latency_hist[std::size_t(k)].load(std::memory_order_relaxed);
     out.push_back(p);
   }
   return out;
@@ -412,6 +409,24 @@ void ThreadPool::signal_work() {
     // check and its wait.
     { std::lock_guard<std::mutex> lock(sleep_mu_); }
     sleep_cv_.notify_all();
+  }
+}
+
+/// The one park-and-help loop. Worker `wid` runs whatever it can reach until
+/// `done()` holds, parking on the epoch/cv machinery when nothing is runnable;
+/// `wid < 0` (a thread outside the pool) only parks. Whoever makes `done()`
+/// true calls signal_work() afterwards: the epoch read before each scan then
+/// either sees that bump (no park) or the parker is counted in sleepers_ and
+/// gets notified, so the wakeup cannot be lost.
+template <class Done>
+void ThreadPool::help_until(int wid, const Done& done) {
+  while (!done()) {
+    const long epoch = epoch_.load(std::memory_order_seq_cst);
+    if (wid >= 0 && try_run_one(wid)) continue;
+    std::unique_lock<std::mutex> lock(sleep_mu_);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    sleep_cv_.wait(lock, [&] { return done() || epoch_.load(std::memory_order_seq_cst) != epoch; });
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   }
 }
 
@@ -478,52 +493,25 @@ ThreadPool::Component& ThreadPool::append_component(
     return ka != kb ? ka > kb : a < b;
   });
 
-  const int pool_size = size();
-  if (affine_steal_ && sub->stream) {
-    // Component-affine dealing: the whole component goes to one home worker
-    // so a request's tiles stay in one cache; siblings steal only when idle.
-    // Homes rotate per component from the pool-level round shared by all
-    // streams, unless the stream pinned a slot via its affinity hint.
-    const int slot =
-        sub->affinity_hint >= 0
-            ? sub->affinity_hint % sub->worker_count
-            : int(stream_deal_round_.fetch_add(1, std::memory_order_relaxed) %
-                  unsigned(sub->worker_count));
-    const int home = (sub->first_worker + slot) % pool_size;
-    comp->home = home;
-    // Inbox order is drained-in-order into a LIFO lane, so push ascending
-    // priority: the owner pops the most urgent first.
-    std::vector<Item> items;
-    items.reserve(sources.size());
-    for (auto it = sources.rbegin(); it != sources.rend(); ++it)
-      items.push_back(Item{comp, *it});
-    push_inbox(*workers_[size_t(home)], items.data(), items.size());
-  } else {
-    // Spread dealing: round-robin across the submission's worker set from a
-    // rotating anchor. One-shot submissions rotate per submission
-    // (deal_round); stream grafts draw from the pool-level round advanced by
-    // the number of sources dealt — weighted round-robin, so a wide graft
-    // shifts the next stream's anchor past the workers it loaded.
-    const unsigned round =
-        sub->stream
-            ? stream_deal_round_.fetch_add(unsigned(sources.size()), std::memory_order_relaxed)
-            : sub->deal_round.fetch_add(1, std::memory_order_relaxed);
-    const int anchor = int(round % unsigned(sub->worker_count));
-    std::vector<std::vector<std::int32_t>> dealt(size_t(sub->worker_count));
-    for (size_t i = 0; i < sources.size(); ++i)
-      dealt[(i + size_t(anchor)) % size_t(sub->worker_count)].push_back(sources[i]);
-    for (int d = 0; d < sub->worker_count; ++d) {
-      if (dealt[size_t(d)].empty()) continue;
-      Worker& w = *workers_[size_t((sub->first_worker + d) % pool_size)];
-      // Ascending priority into the inbox -> LIFO lane pops most urgent
-      // first (the old push-reversed-pop-back behavior, one hop removed).
-      std::vector<Item> items;
-      items.reserve(dealt[size_t(d)].size());
-      for (auto it = dealt[size_t(d)].rbegin(); it != dealt[size_t(d)].rend(); ++it)
-        items.push_back(Item{comp, *it});
-      push_inbox(w, items.data(), items.size());
-    }
-  }
+  // One dealing rule. A stream component goes whole to one home worker, so a
+  // request's tiles stay in one cache; homes rotate per component from the
+  // pool-level round shared by all streams, so concurrent streams interleave
+  // across the worker set. A one-shot DAG spreads its sources round-robin
+  // from the submission's rotating anchor: its parallelism *is* the spread.
+  // Each worker's items go into its inbox in ascending priority, which the
+  // owner drains into a LIFO lane, so it pops the most urgent first.
+  const std::size_t set = std::size_t(sub->worker_count);
+  auto worker_at = [&](std::size_t slot) {
+    return (std::size_t(sub->first_worker) + slot) % workers_.size();
+  };
+  const std::size_t home_slot =
+      sub->stream ? next_home_.fetch_add(1, std::memory_order_relaxed) % set : 0;
+  if (sub->stream) comp->home = int(worker_at(home_slot));
+  std::vector<std::vector<Item>> dealt(set);
+  for (std::size_t i = sources.size(); i-- > 0;)
+    dealt[sub->stream ? home_slot : i % set].push_back(Item{comp, sources[i]});
+  for (std::size_t d = 0; d < set; ++d)
+    if (!dealt[d].empty()) push_inbox(*workers_[worker_at(d)], dealt[d].data(), dealt[d].size());
   signal_work();
   return *comp;
 }
@@ -577,26 +565,16 @@ void ThreadPool::run(const dag::TaskGraph& g, const std::function<void(std::int3
   if (tl_pool == this) {
     // Re-entrant call from a task body: the calling worker helps execute
     // until this submission retires (blocking would deadlock the pool).
-    // When no admissible work exists it parks on the epoch/cv machinery
-    // like any worker (completion bumps the epoch via signal_work).
     auto sub = submit_impl(g, body, nullptr, priority, max_workers, nullptr, keys, 1);
-    while (!sub->done.load(std::memory_order_acquire)) {
-      const long epoch = epoch_.load(std::memory_order_seq_cst);
-      if (try_run_one(tl_worker)) continue;
-      if (sub->done.load(std::memory_order_acquire)) break;
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      sleep_cv_.wait(lock, [&] {
-        return sub->done.load(std::memory_order_acquire) ||
-               epoch_.load(std::memory_order_seq_cst) != epoch;
-      });
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    help_until(tl_worker, [&] { return sub->done.load(std::memory_order_acquire); });
     Component& comp = sub->components.front();
     std::lock_guard<std::mutex> lock(comp.err_mu);
     if (comp.error) std::rethrow_exception(comp.error);
     return;
   }
+  // An outside caller blocks on its own future rather than in help_until:
+  // counted in sleepers_, it would make every signal_work of the whole
+  // factorization take sleep_mu_ and notify.
   std::promise<void> promise;
   std::future<void> future = promise.get_future();
   submit(
@@ -613,12 +591,11 @@ void ThreadPool::run(const dag::TaskGraph& g, const std::function<void(std::int3
 
 // ------------------------------------------------------------------ stream --
 
-ThreadPool::Stream ThreadPool::open_stream(int max_workers, int affinity_hint) {
+ThreadPool::Stream ThreadPool::open_stream(int max_workers) {
   Stream s;
   s.pool_ = this;
   s.sub_ = make_submission(max_workers, /*closed=*/false);
-  s.sub_->stream = true;  // prune retired grafts + pool-level deal rotation
-  s.sub_->affinity_hint = affinity_hint;
+  s.sub_->stream = true;  // prune retired grafts + component-affine dealing
   s.sub_->streams_closed = streams_closed_;
   s.sub_->gauge_counted.store(true, std::memory_order_release);
   streams_opened_.fetch_add(1, std::memory_order_relaxed);
@@ -674,29 +651,11 @@ void ThreadPool::finalize_if_drained(Submission& sub) {
 }
 
 void ThreadPool::wait_stream(const std::shared_ptr<Submission>& sub, long up_to_generation) {
-  auto drained = [&] {
+  // From a pool worker (e.g. a task body draining a stream it feeds) the
+  // caller helps execute instead of deadlocking, like run().
+  help_until(tl_pool == this ? tl_worker : -1, [&] {
     return sub->retired_components.load(std::memory_order_acquire) >= up_to_generation;
-  };
-  if (tl_pool == this) {
-    // Waiting from a pool worker (e.g. a task body draining a stream it
-    // feeds): help execute instead of deadlocking, like run().
-    while (!drained()) {
-      const long epoch = epoch_.load(std::memory_order_seq_cst);
-      if (try_run_one(tl_worker)) continue;
-      if (drained()) break;
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      sleep_cv_.wait(lock, [&] {
-        return drained() || epoch_.load(std::memory_order_seq_cst) != epoch;
-      });
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    }
-    return;
-  }
-  std::unique_lock<std::mutex> lock(sleep_mu_);
-  sleepers_.fetch_add(1, std::memory_order_seq_cst);
-  sleep_cv_.wait(lock, drained);
-  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+  });
 }
 
 // ----------------------------------------------------------------- workers --
@@ -704,25 +663,14 @@ void ThreadPool::wait_stream(const std::shared_ptr<Submission>& sub, long up_to_
 void ThreadPool::worker_main(int wid) {
   tl_pool = this;
   tl_worker = wid;
-  if (pin_workers_) pin_to_core(wid);
+  if (!pin_cpus_.empty()) pin_to_cpu(pin_cpus_[size_t(wid) % pin_cpus_.size()]);
   g_tracer.set_thread_track_name(label_ + ".w" + std::to_string(wid));
   {
     std::lock_guard<std::mutex> lock(sleep_mu_);
     ++started_workers_;
   }
   sleep_cv_.notify_all();
-  for (;;) {
-    const long epoch = epoch_.load(std::memory_order_seq_cst);
-    if (try_run_one(wid)) continue;
-    if (stop_.load(std::memory_order_seq_cst)) return;
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    sleep_cv_.wait(lock, [&] {
-      return stop_.load(std::memory_order_seq_cst) ||
-             epoch_.load(std::memory_order_seq_cst) != epoch;
-    });
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-  }
+  help_until(wid, [&] { return stop_.load(std::memory_order_seq_cst); });
 }
 
 /// Owner: move inbox items into lanes. Stops early when every lane is taken
@@ -837,16 +785,12 @@ bool ThreadPool::steal_inbox(Worker& victim, int thief_wid, Item& out) {
 }
 
 /// Owner: push a ready successor onto the lane serving its submission;
-/// falls back to the own inbox under lane pressure. Returns true always
-/// (the fallback cannot fail) — the bool keeps the call sites readable.
-bool ThreadPool::push_local(Worker& self, Submission* sub, Item item) {
-  Worker::Lane* lane = self.lane_for(sub);
-  if (lane) {
+/// falls back to the own inbox under lane pressure.
+void ThreadPool::push_local(Worker& self, Item item) {
+  if (Worker::Lane* lane = self.lane_for(item.comp->owner))
     lane->deq.push(ChaseLevDeque<Component>::Entry{item.comp, item.task});
-  } else {
+  else
     push_inbox(self, &item, 1);
-  }
-  return true;
 }
 
 bool ThreadPool::try_run_one(int wid) {
@@ -860,18 +804,13 @@ bool ThreadPool::try_run_one(int wid) {
   // Lane pressure can leave items parked in the own inbox (no free lane at
   // drain time with every lane claimed). Run the oldest directly rather
   // than stealing past work that is already ours.
-  {
-    bool took = false;
-    if (self.inbox_size.load(std::memory_order_acquire) != 0) {
-      std::lock_guard<std::mutex> lock(self.inbox_mu);
-      if (!self.inbox.empty()) {
-        item = self.inbox.front();
-        self.inbox.pop_front();
-        self.inbox_size.store(long(self.inbox.size()), std::memory_order_release);
-        took = true;
-      }
-    }
-    if (took) {
+  if (self.inbox_size.load(std::memory_order_acquire) != 0) {
+    std::unique_lock<std::mutex> lock(self.inbox_mu);
+    if (!self.inbox.empty()) {
+      item = self.inbox.front();
+      self.inbox.pop_front();
+      self.inbox_size.store(long(self.inbox.size()), std::memory_order_release);
+      lock.unlock();
       run_item(wid, item, /*stolen=*/false);
       return true;
     }
@@ -882,22 +821,15 @@ bool ThreadPool::try_run_one(int wid) {
   // histogram; one clock read per scan, paid only once local work ran dry.
   const int pool_size = size();
   const std::int64_t steal_t0 = pool_size > 1 ? obs::now_ns() : 0;
-  for (int d = 1; d < pool_size; ++d) {
-    Worker& victim = *workers_[size_t((wid + d) % pool_size)];
-    if (steal_lanes(victim, self, wid, item)) {
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-      self.record_steal_latency(obs::now_ns() - steal_t0);
-      run_item(wid, item, /*stolen=*/true);
-      return true;
-    }
-  }
-  for (int d = 1; d < pool_size; ++d) {
-    Worker& victim = *workers_[size_t((wid + d) % pool_size)];
-    if (steal_inbox(victim, wid, item)) {
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-      self.record_steal_latency(obs::now_ns() - steal_t0);
-      run_item(wid, item, /*stolen=*/true);
-      return true;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int d = 1; d < pool_size; ++d) {
+      Worker& victim = *workers_[size_t((wid + d) % pool_size)];
+      if (pass == 0 ? steal_lanes(victim, self, wid, item) : steal_inbox(victim, wid, item)) {
+        tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
+        self.record_steal_latency(obs::now_ns() - steal_t0);
+        run_item(wid, item, /*stolen=*/true);
+        return true;
+      }
     }
   }
   if (pool_size > 1) self.empty_steal_probes.fetch_add(1, std::memory_order_relaxed);
@@ -931,9 +863,9 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
       comp.body(item.task);
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
       // Locality attribution (executed bodies only — cancelled tasks carry
-      // no cache traffic): on-home for affine components means "ran on the
-      // component's home worker"; spread components count un-stolen runs as
-      // home (the item ran where it was queued).
+      // no cache traffic): on-home for a stream component means "ran on the
+      // component's home worker"; one-shot components count un-stolen runs
+      // as home (the item ran where it was queued).
       const bool on_home = comp.home >= 0 ? comp.home == wid : !stolen;
       (on_home ? self.tasks_home : self.tasks_foreign).fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
@@ -972,8 +904,7 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
     });
     // Ascending priority pushed to the own lane -> LIFO pop takes the most
     // urgent first, the same order the old mutexed deque preserved.
-    Submission* sub_of_comp = comp.owner;
-    for (std::int32_t s : ready) push_local(self, sub_of_comp, Item{item.comp, s});
+    for (std::int32_t s : ready) push_local(self, Item{item.comp, s});
     signal_work();
   }
   if (comp.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {

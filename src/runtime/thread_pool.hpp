@@ -13,23 +13,23 @@
 //     mailbox: dealers (submit/append from any thread) push there and the
 //     owner drains it into its lanes, preserving the single-producer
 //     invariant Chase–Lev requires;
-//   * the initial ready set of a DAG is dealt round-robin across workers in
-//     descending critical-path priority (the paper's scheduling rule), so
-//     every worker starts on the most urgent task it holds — except stream
-//     components under component-affine dealing (below);
+//   * the initial ready set is dealt by one rule (below), in descending
+//     critical-path priority (the paper's scheduling rule), so every worker
+//     starts on the most urgent task it holds;
 //   * several DAGs can be in flight at once (the batched serving API
 //     interleaves them); each submission can be capped to a subset of
 //     workers so `execute(g, body, threads)` keeps its exact-concurrency
 //     semantics for the scaling ablations.
 //
-// Locality (component-affine stealing, TILEDQR_AFFINE_STEAL, default on):
-// a *stream* component is dealt whole to one home worker — rotating across
-// the worker set per component, or pinned by the stream's affinity hint —
-// so one request's tiles stay in one core's cache; siblings steal across
-// components only when their own lanes run dry. One-shot submissions keep
-// the round-robin source spread: a single DAG's parallelism *is* the spread.
-// TILEDQR_PIN=1 additionally pins worker threads to cores
-// (pthread_setaffinity_np; a graceful no-op off Linux).
+// Dealing: a *stream* component goes whole to one home worker, rotating
+// across the worker set per component, so one request's tiles stay in one
+// core's cache; siblings steal across components only when their own lanes
+// run dry. A one-shot DAG spreads its sources round-robin from its
+// submission's rotating anchor: a single DAG's parallelism *is* the spread.
+// Every waiter — an idle worker, a re-entrant run(), Stream::wait(), the
+// draining destructor — parks in one help-and-park loop. TILEDQR_PIN=1
+// additionally pins worker w to the (w mod n)-th CPU of the process's
+// affinity mask (pthread_setaffinity_np; a no-op off Linux).
 //
 // A submission is a set of DAG *components*. The one-shot submit() carries
 // exactly one and closes immediately; a Stream (open_stream) stays open and
@@ -56,8 +56,7 @@
 // worker makes progress regardless of graft arrival order.
 //
 // Tasks only write their declared outputs, so results are bitwise identical
-// to the sequential replay for any worker count, steal order, pinning, or
-// affinity setting.
+// to the sequential replay for any worker count, steal order or pinning.
 #pragma once
 
 #include <array>
@@ -105,7 +104,7 @@ class ThreadPool {
     long steal_cas_retries = 0;   ///< lost top-CAS races while stealing
     long empty_steal_probes = 0;  ///< full victim sweeps that found nothing
     long tasks_home = 0;     ///< tasks run on their component's home worker
-                             ///< (spread components: run un-stolen)
+                             ///< (one-shot components: run un-stolen)
     long tasks_foreign = 0;  ///< tasks run off-home (lost locality)
     /// Latency distribution per successful steal, summed over workers.
     std::array<long, kStealLatencyBuckets> steal_latency_hist{};
@@ -118,7 +117,7 @@ class ThreadPool {
 
   /// `threads == 0` resolves to default_thread_count() (TILEDQR_THREADS or
   /// hardware concurrency), the same rule the rest of the library uses.
-  /// TILEDQR_PIN and TILEDQR_AFFINE_STEAL are read here, once.
+  /// TILEDQR_PIN (and the CPU mask it pins into) is read here, once.
   explicit ThreadPool(int threads = 0);
 
   /// Drains outstanding submissions, then stops and joins the workers.
@@ -219,11 +218,9 @@ class ThreadPool {
 
   /// Opens a streaming submission confined to `max_workers` workers
   /// (<= 0 = all), anchored like any submission. Components appended later
-  /// all share this worker set. `affinity_hint >= 0` pins the stream's
-  /// component home worker (modulo its worker set) under component-affine
-  /// dealing — every graft lands on the same core; < 0 rotates homes across
-  /// the set per component (the default load-spreading policy).
-  [[nodiscard]] Stream open_stream(int max_workers = 0, int affinity_hint = -1);
+  /// all share this worker set; each is dealt whole to a home worker that
+  /// rotates across the set per component.
+  [[nodiscard]] Stream open_stream(int max_workers = 0);
 
   [[nodiscard]] Stats stats() const noexcept;
 
@@ -239,11 +236,6 @@ class ThreadPool {
     std::int32_t running_task = -1;     ///< its task index (valid while running)
     std::uint8_t running_kind = 0xFF;   ///< its KernelKind, 0xFF = non-kernel
     std::int64_t last_finish_ns = 0;    ///< end of the last retired task; 0 = never
-    long tasks_home = 0;     ///< tasks this worker ran on-home (locality kept)
-    long tasks_foreign = 0;  ///< tasks this worker ran off-home
-    /// This worker's successful-steal latency distribution (see
-    /// kStealLatencyBuckets); racy relaxed reads, like the counters above.
-    std::array<long, kStealLatencyBuckets> steal_latency_hist{};
   };
 
   /// Probes every worker. Entirely lock-free: lane depths are racy atomic
@@ -286,6 +278,9 @@ class ThreadPool {
                                           const std::vector<long>* keys, int copies);
   void finalize_if_drained(Submission& sub);
   void wait_stream(const std::shared_ptr<Submission>& sub, long up_to_generation);
+  /// The one park-and-help loop (worker `wid`; -1 = outside thread, parks only).
+  template <class Done>
+  void help_until(int wid, const Done& done);
   void worker_main(int wid);
   bool try_run_one(int wid);
   void run_item(int wid, Item item, bool stolen);
@@ -297,7 +292,7 @@ class ThreadPool {
   bool steal_lanes(Worker& victim, Worker& thief, int thief_wid, Item& out);
   bool steal_inbox(Worker& victim, int thief_wid, Item& out);
   void push_inbox(Worker& w, const Item* items, std::size_t n);
-  bool push_local(Worker& self, Submission* sub, Item item);
+  void push_local(Worker& self, Item item);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
@@ -314,10 +309,9 @@ class ThreadPool {
   std::atomic<int> sleepers_{0};
   std::atomic<bool> stop_{false};
 
-  /// TILEDQR_PIN: pin worker threads to cores (worker w -> core w mod ncpu).
-  bool pin_workers_ = false;
-  /// TILEDQR_AFFINE_STEAL: deal stream components whole to a home worker.
-  bool affine_steal_ = true;
+  /// TILEDQR_PIN: the CPUs of the process's affinity mask; worker w pins to
+  /// pin_cpus_[w mod n]. Empty = no pinning.
+  std::vector<int> pin_cpus_;
 
   /// In-flight *components*: a stream counts one per appended component, so
   /// an open-but-idle stream does not block the draining destructor.
@@ -325,12 +319,10 @@ class ThreadPool {
   /// Rotates the worker-set anchor (unsigned: wraps harmlessly in
   /// long-lived serving processes).
   std::atomic<unsigned> next_start_{0};
-  /// Pool-level deal round shared by ALL stream grafts: under affine dealing
-  /// it advances by one per component (rotating component homes across
-  /// streams); under spread dealing by the number of sources dealt (weighted
-  /// round-robin). Either way concurrent streams interleave across the
-  /// worker set instead of each independently rotating from its own anchor.
-  std::atomic<unsigned> stream_deal_round_{0};
+  /// Home rotation shared by ALL stream grafts: advances by one per
+  /// component, so concurrent streams interleave across the worker set
+  /// instead of each independently rotating from its own anchor.
+  std::atomic<unsigned> next_home_{0};
   /// Streams closed or abandoned, monotone (streams_live is derived as
   /// streams_opened_ − this, keeping every stats() input monotone so the
   /// coherent-snapshot re-read works). Shared with each stream Submission so

@@ -10,6 +10,7 @@
 // uploads as a Perfetto-loadable artifact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -967,6 +969,50 @@ TEST(ObsSmoke, CriticalPathBreakdownReconcilesWithReport) {
 
   EXPECT_FALSE(obs::format_critical_path_breakdown(b).empty());
   EXPECT_NE(obs::format_schedule_report(report).find("critical path ("), std::string::npos);
+}
+
+TEST(ObsSmoke, ScheduleReportComparesOneGraphWithOneGraph) {
+  // Two traced factorizations of one graph, 20 ms apart: the window's span
+  // covers both runs and the idle gap, but the model is one graph's makespan,
+  // so model_ratio must divide by the span of the one graph the breakdown
+  // selected — not by the window.
+  TracerGuard guard;
+  guard.tracer.enable();
+  core::QrSession session(core::QrSession::Config{.threads = 2});
+  core::Options opt;
+  opt.nb = 16;
+  opt.ib = 8;
+  opt.tree = trees::TreeConfig{trees::TreeKind::Greedy, trees::KernelFamily::TT, 1, 1};
+  auto a = random_matrix<double>(96, 48, 0x55);
+  (void)session.submit(ConstMatrixView<double>(a.view()), opt).get();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  (void)session.submit(ConstMatrixView<double>(a.view()), opt).get();
+  auto plan = session.plan_cache().get(6, 3, *opt.tree);
+  const std::size_t traced = 2 * plan->graph.tasks.size();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (guard.tracer.event_count() < traced && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  guard.tracer.disable();
+
+  const auto report = obs::build_schedule_report(guard.tracer, plan->graph, 2);
+  EXPECT_EQ(report.graphs, 2);
+  ASSERT_TRUE(report.breakdown.valid);
+  std::int64_t first = std::numeric_limits<std::int64_t>::max();
+  std::int64_t last = std::numeric_limits<std::int64_t>::min();
+  for (const auto& track : guard.tracer.collect_since(guard.tracer.mark_ns()))
+    for (const auto& e : track.events)
+      if (e.submission == report.breakdown.submission &&
+          e.component == report.breakdown.component) {
+        first = std::min(first, e.start_ns);
+        last = std::max(last, e.end_ns);
+      }
+  ASSERT_GT(last, first);
+  const double group_seconds = double(last - first) / 1e9;
+  EXPECT_GT(report.model_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(report.model_ratio, report.model_seconds / group_seconds);
+  EXPECT_GE(report.achieved_seconds, group_seconds + 0.02);
+  EXPECT_NE(obs::format_schedule_report(report).find("for 1 of 2 traced graphs"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -12,6 +13,14 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "common/env.hpp"
 #include "core/qr_session.hpp"
@@ -43,6 +52,18 @@ dag::TaskGraph fanout_graph(int width) {
   }
   return g;
 }
+
+/// `n` independent tasks (every one a source).
+dag::TaskGraph independent_graph(int n) {
+  dag::TaskGraph g;
+  g.p = n;
+  g.q = 1;
+  for (int i = 0; i < n; ++i)
+    g.tasks.push_back(dag::Task{kernels::KernelKind::GEQRT, i, -1, 0, -1, 0, {}});
+  return g;
+}
+
+dag::TaskGraph one_task_graph() { return independent_graph(1); }
 
 TEST(ThreadPool, ReusedAcrossManyGraphs) {
   ThreadPool pool(4);
@@ -195,10 +216,9 @@ TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossSchedulingModes) {
-  // Determinism across the locality knobs: the same batch factored under
-  // every TILEDQR_PIN x TILEDQR_AFFINE_STEAL combination — both read at pool
-  // construction, so each setting gets a fresh session — must be bitwise
-  // equal to the sequential replay. The batch is homogeneous, so this also
+  // Determinism across the locality knob: the same batch factored with and
+  // without TILEDQR_PIN — read at pool construction, so each setting gets a
+  // fresh session — must be bitwise equal to the sequential replay. The batch is homogeneous, so this also
   // drives the replicated-component (copies > 1) scheduling path.
   core::Options opt;
   opt.tree = trees::TreeConfig{};  // pin Greedy: a disengaged tree would autotune
@@ -220,36 +240,75 @@ TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossSchedulingModes) {
   }
 
   const char* old_pin = std::getenv("TILEDQR_PIN");
-  const char* old_affine = std::getenv("TILEDQR_AFFINE_STEAL");
   for (int pin : {0, 1}) {
-    for (int affine : {0, 1}) {
-      setenv("TILEDQR_PIN", pin ? "1" : "0", 1);
-      setenv("TILEDQR_AFFINE_STEAL", affine ? "1" : "0", 1);
-      core::QrSession session(core::QrSession::Config{4});
-      auto results = session.factorize_batch(views, opt);
-      ASSERT_EQ(results.size(), size_t(kBatch));
-      for (int b = 0; b < kBatch; ++b) {
-        auto dense = results[size_t(b)].factors().to_dense();
-        const auto& ref = refs[size_t(b)];
-        for (std::int64_t j = 0; j < dense.cols(); ++j)
-          for (std::int64_t i = 0; i < dense.rows(); ++i)
-            ASSERT_EQ(dense(i, j), ref(i, j)) << "matrix " << b << " at (" << i << "," << j
-                                              << ") pin=" << pin << " affine=" << affine;
-      }
-      // The locality split accounts for executed tasks. The two counters are
-      // adjacent but separate atomics, so a snapshot taken while the last
-      // tasks are retiring may lag by up to one task per worker.
-      auto stats = session.pool_stats();
-      EXPECT_LE(stats.tasks_home + stats.tasks_foreign, stats.tasks_executed)
-          << "pin=" << pin << " affine=" << affine;
-      EXPECT_GE(stats.tasks_home + stats.tasks_foreign, stats.tasks_executed - 4)
-          << "pin=" << pin << " affine=" << affine;
-      EXPECT_GT(stats.tasks_home, 0) << "pin=" << pin << " affine=" << affine;
+    setenv("TILEDQR_PIN", pin ? "1" : "0", 1);
+    core::QrSession session(core::QrSession::Config{4});
+    auto results = session.factorize_batch(views, opt);
+    ASSERT_EQ(results.size(), size_t(kBatch));
+    for (int b = 0; b < kBatch; ++b) {
+      auto dense = results[size_t(b)].factors().to_dense();
+      const auto& ref = refs[size_t(b)];
+      for (std::int64_t j = 0; j < dense.cols(); ++j)
+        for (std::int64_t i = 0; i < dense.rows(); ++i)
+          ASSERT_EQ(dense(i, j), ref(i, j))
+              << "matrix " << b << " at (" << i << "," << j << ") pin=" << pin;
     }
+    // The locality split accounts for executed tasks. The two counters are
+    // adjacent but separate atomics, so a snapshot taken while the last
+    // tasks are retiring may lag by up to one task per worker.
+    auto stats = session.pool_stats();
+    EXPECT_LE(stats.tasks_home + stats.tasks_foreign, stats.tasks_executed) << "pin=" << pin;
+    EXPECT_GE(stats.tasks_home + stats.tasks_foreign, stats.tasks_executed - 4) << "pin=" << pin;
+    EXPECT_GT(stats.tasks_home, 0) << "pin=" << pin;
   }
   old_pin ? setenv("TILEDQR_PIN", old_pin, 1) : unsetenv("TILEDQR_PIN");
-  old_affine ? setenv("TILEDQR_AFFINE_STEAL", old_affine, 1) : unsetenv("TILEDQR_AFFINE_STEAL");
 }
+
+#if defined(__linux__)
+TEST(ThreadPool, PinnedWorkersStayInsideTheProcessCpuMask) {
+  // TILEDQR_PIN pins into the process's CPU mask, so an operator's
+  // taskset/cpuset is respected: restrict this (main) thread to its highest
+  // allowed CPU, build a pinned pool, and read each worker's mask.
+  if (pid_t(syscall(SYS_gettid)) != getpid()) GTEST_SKIP() << "needs the main thread";
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  if (CPU_COUNT(&saved) < 2) GTEST_SKIP() << "needs at least 2 allowed CPUs";
+  int highest = 0;
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &saved)) highest = c;
+  cpu_set_t only;
+  CPU_ZERO(&only);
+  CPU_SET(highest, &only);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(only), &only), 0);
+  const char* old_pin = std::getenv("TILEDQR_PIN");
+  setenv("TILEDQR_PIN", "1", 1);
+
+  std::vector<cpu_set_t> masks(2);
+  {
+    ThreadPool pool(2);
+    // Fresh pool: one-worker sets anchored at worker 0, then worker 1.
+    auto g = one_task_graph();
+    for (auto& mask : masks) {
+      pool.submit(g, [&mask](std::int32_t) {
+        CPU_ZERO(&mask);
+        pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+      }, SchedulePriority::CriticalPath, 1).get();
+    }
+  }
+  pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
+  old_pin ? setenv("TILEDQR_PIN", old_pin, 1) : unsetenv("TILEDQR_PIN");
+
+  for (std::size_t w = 0; w < masks.size(); ++w) {
+    EXPECT_GT(CPU_COUNT(&masks[w]), 0) << "worker " << w;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &masks[w])) {
+        EXPECT_EQ(c, highest) << "worker " << w;
+      }
+    }
+  }
+}
+#endif
 
 TEST(ThreadPool, DefaultPoolBacksExecute) {
   // execute(threads > 1) goes through the shared default pool (as long as
@@ -405,14 +464,6 @@ TEST(ThreadPoolStream, OpenIdleStreamDoesNotBlockPoolDestructor) {
 }
 
 /// A single free-standing task; the smallest graftable component.
-dag::TaskGraph one_task_graph() {
-  dag::TaskGraph g;
-  g.p = 1;
-  g.q = 1;
-  g.tasks.push_back(dag::Task{kernels::KernelKind::GEQRT, 0, -1, 0, -1, 0, {}});
-  return g;
-}
-
 TEST(ThreadPoolStream, TwoStreamsInterleaveFairly) {
   // The multi-stream fairness contract, deterministic at a 2-worker pool:
   // block both workers behind 1-task gate submissions (each capped to a
@@ -478,6 +529,54 @@ TEST(ThreadPoolStream, TwoStreamsInterleaveFairly) {
   const auto half = order.substr(0, size_t(k));
   EXPECT_GE(std::count(half.begin(), half.end(), 'A'), k / 8) << order;
   EXPECT_GE(std::count(half.begin(), half.end(), 'B'), k / 8) << order;
+}
+
+TEST(ThreadPoolStream, StreamComponentsGoWholeOneShotsSpread) {
+  // The one dealing rule, observed with both workers of a 2-worker pool held
+  // in gate tasks so nothing dealt can run or be stolen: a stream component
+  // lands whole on one home worker; an uncapped one-shot DAG spreads its
+  // sources round-robin across the worker set.
+  ThreadPool pool(2);
+  auto gate_graph = one_task_graph();
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
+  auto gate_body = [&](std::int32_t) {
+    started.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+  };
+  auto gate1 = pool.submit(gate_graph, gate_body, SchedulePriority::CriticalPath, 1);
+  auto gate2 = pool.submit(gate_graph, gate_body, SchedulePriority::CriticalPath, 1);
+  while (started.load() < 2) std::this_thread::yield();
+
+  auto queued = [&] {
+    std::vector<std::size_t> ready;
+    for (const auto& p : pool.probe_workers()) ready.push_back(p.ready);
+    std::sort(ready.begin(), ready.end());
+    return ready;
+  };
+  auto g = independent_graph(8);
+  std::array<std::atomic<int>, 8> stream_runs{}, oneshot_runs{};
+  auto stream = pool.open_stream();
+  stream.append(g, [&](std::int32_t t) { stream_runs[size_t(t)].fetch_add(1); });
+  EXPECT_EQ(queued(), (std::vector<std::size_t>{0, 8}));
+
+  std::vector<std::size_t> before;
+  for (const auto& p : pool.probe_workers()) before.push_back(p.ready);
+  auto oneshot = pool.submit(g, [&](std::int32_t t) { oneshot_runs[size_t(t)].fetch_add(1); });
+  const auto after = pool.probe_workers();
+  for (std::size_t w = 0; w < after.size(); ++w)
+    EXPECT_EQ(after[w].ready - before[w], 4u) << "worker " << w;
+
+  release.store(true);
+  gate1.get();
+  gate2.get();
+  oneshot.get();
+  stream.wait();
+  stream.close();
+  for (int t = 0; t < 8; ++t) {
+    EXPECT_EQ(stream_runs[size_t(t)].load(), 1) << "stream task " << t;
+    EXPECT_EQ(oneshot_runs[size_t(t)].load(), 1) << "one-shot task " << t;
+  }
 }
 
 TEST(ThreadPoolStream, LiveStreamGaugeTracksOpenAndClose) {
