@@ -9,12 +9,23 @@
 // rates plus speedups over scalar as JSON (TILEDQR_BENCH_JSON, default
 // BENCH_kernels.json) — the recorded evidence for the >= 2x microkernel
 // acceptance target and the rates the tuner's measured/live profiles see.
+//
+// Last, the task-path section times all twelve kinds, QR and LQ, through
+// core::run_task_kernels, the DAG's task runner, so the LQ rows include the
+// adjoint copies of their operand tiles; the kernel-level rows above never
+// see those. It lands in the same JSON record.
+#include <algorithm>
+#include <array>
 #include <complex>
 #include <cstdlib>
 #include <fstream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "blas/simd/simd.hpp"
+#include "common/timer.hpp"
+#include "core/tiled_qr.hpp"
+#include "matrix/generate.hpp"
 #include "perf/kernel_bench.hpp"
 
 using namespace tiledqr;
@@ -47,8 +58,80 @@ void kernel_figure(const char* precision, const bench::Knobs& knobs) {
   }
 }
 
-// Per-dispatch-tier kernel rates at a fixed tile size, double precision.
-// Restores the auto-selected tier before returning.
+/// GFLOP/s of every kernel kind through core::run_task_kernels, indexed by
+/// KernelKind, in cache. The task runs on a 2 x 2 grid of nb x nb tiles;
+/// one coordinate set serves a kind and its dual, since the runner maps the
+/// LQ kinds' reduction-grid coordinates onto the transposed tiles. Each call
+/// starts from the same tiles (restored outside the timer). Every rep runs
+/// all twelve kinds in turn, so host drift hits a kind and its dual alike;
+/// the median of `reps` calls is kept.
+template <typename T>
+std::array<double, kernels::kNumKernelKinds> task_path_rates(int nb, int ib, int reps) {
+  using kernels::KernelKind;
+  auto dense = random_matrix<T>(2 * std::int64_t(nb), 2 * std::int64_t(nb), 4242);
+  const auto pristine = TileMatrix<T>::from_dense(dense.view(), nb);
+  auto a = pristine;
+  core::TStore<T> ts(2, 2, ib, nb), t2s(2, 2, ib, nb);
+  std::array<dag::Task, kernels::kNumKernelKinds> tasks;
+  for (int k = 0; k < kernels::kNumKernelKinds; ++k) {
+    dag::Task& task = tasks[size_t(k)];
+    task = {KernelKind(k), 0, -1, 0, -1, 0, {}};
+    switch (kernels::qr_dual(task.kind)) {
+      case KernelKind::UNMQR: task.j = 1; break;
+      case KernelKind::TSQRT:
+      case KernelKind::TTQRT: task.i = 1, task.piv = 0; break;
+      case KernelKind::TSMQR:
+      case KernelKind::TTMQR: task.i = 1, task.piv = 0, task.j = 1; break;
+      default: break;
+    }
+  }
+  std::array<std::vector<double>, kernels::kNumKernelKinds> secs;
+  for (int r = -1; r < reps; ++r) {  // r = -1 warms up
+    for (int k = 0; k < kernels::kNumKernelKinds; ++k) {
+      a = pristine;
+      WallTimer timer;
+      core::run_task_kernels(tasks[size_t(k)], a, ts, t2s, ib);
+      if (r >= 0) secs[size_t(k)].push_back(timer.seconds());
+    }
+  }
+  std::array<double, kernels::kNumKernelKinds> rates{};
+  for (int k = 0; k < kernels::kNumKernelKinds; ++k) {
+    auto& v = secs[size_t(k)];
+    std::nth_element(v.begin(), v.begin() + long(v.size()) / 2, v.end());
+    rates[size_t(k)] =
+        kernels::kernel_flops(KernelKind(k), nb, is_complex_v<T>) / v[v.size() / 2] * 1e-9;
+  }
+  return rates;
+}
+
+struct TaskPathRow {
+  const char* precision;
+  std::array<double, kernels::kNumKernelKinds> rates;
+};
+
+/// The task-path table: each QR kind next to its LQ dual and their ratio.
+std::vector<TaskPathRow> task_path_section(int nb, int ib, const bench::Knobs& knobs) {
+  const int reps = knobs.reps + 9;
+  std::vector<TaskPathRow> rows{{"double", task_path_rates<double>(nb, ib, reps)},
+                                {"double_complex",
+                                 task_path_rates<std::complex<double>>(nb, ib, reps)}};
+  TextTable t(stringf("task path GFLOP/s (run_task_kernels), in cache, nb=%d ib=%d", nb, ib));
+  t.set_header({"precision", "kind", "QR", "LQ dual", "LQ/QR"});
+  for (const auto& row : rows) {
+    for (int k = 0; k < kernels::kNumQrKernelKinds; ++k) {
+      const double qr = row.rates[size_t(k)];
+      const double lq = row.rates[size_t(kernels::lq_dual(KernelKind(k)))];
+      t.add_row({row.precision, kernels::kernel_name(KernelKind(k)), stringf("%.3f", qr),
+                 stringf("%.3f", lq), stringf("%.3f", lq / qr)});
+    }
+  }
+  bench::emit(t, "fig4_5_task_path", knobs);
+  return rows;
+}
+
+// Per-dispatch-tier kernel rates at a fixed tile size, double precision,
+// then the task-path rates at the same size. Restores the auto-selected
+// tier before measuring the task path.
 void simd_tier_section(const bench::Knobs& knobs) {
   namespace simd = blas::simd;
   const int nb = int(env_long("TILEDQR_SIMD_NB", 128));
@@ -66,6 +149,7 @@ void simd_tier_section(const bench::Knobs& knobs) {
     rows.push_back({t, perf::measure_kernel_rates<double>(nb, ib, perf::CacheMode::InCache, reps)});
   }
   simd::set_tier(saved);
+  const auto task_path = task_path_section(nb, ib, knobs);
 
   const perf::KernelRates& base = rows.front().rates;
   TextTable t(stringf("SIMD dispatch tiers, double, in cache, nb=%d ib=%d", nb, ib));
@@ -100,6 +184,7 @@ void simd_tier_section(const bench::Knobs& knobs) {
   const double tsmqr_x = best.of(KernelKind::TSMQR) / base.of(KernelKind::TSMQR);
   std::ofstream out(json_path);
   out << "{\n  \"bench\": \"fig4_5_simd_tiers\",\n";
+  out << bench::host_json(1);
   out << stringf("  \"precision\": \"double\", \"nb\": %d, \"ib\": %d, \"reps\": %d,\n", nb, ib,
                  reps);
   out << "  \"tiers\": [\n";
@@ -118,9 +203,18 @@ void simd_tier_section(const bench::Knobs& knobs) {
   out << "  ],\n";
   out << stringf("  \"best_tier\": \"%s\",\n", simd::tier_name(rows[best_i].tier));
   out << stringf("  \"geqrt_speedup\": %.3f, \"tsmqr_speedup\": %.3f,\n", geqrt_x, tsmqr_x);
-  out << stringf("  \"meets_2x_target\": %s\n",
+  out << stringf("  \"meets_2x_target\": %s,\n",
                  geqrt_x >= 2.0 && tsmqr_x >= 2.0 ? "true" : "false");
-  out << "}\n";
+  out << stringf("  \"task_path\": {\"tier\": \"%s\", \"gflops\": {",
+                 simd::tier_name(simd::active_tier()));
+  for (size_t r = 0; r < task_path.size(); ++r) {
+    out << stringf("%s\n    \"%s\": {", r ? "," : "", task_path[r].precision);
+    for (int k = 0; k < kernels::kNumKernelKinds; ++k)
+      out << stringf("%s\"%s\": %.3f", k ? ", " : "", kernels::kernel_name(KernelKind(k)),
+                     task_path[r].rates[size_t(k)]);
+    out << "}";
+  }
+  out << "}}\n}\n";
   std::printf("(json written to %s)\n\n", json_path.c_str());
 }
 

@@ -24,9 +24,11 @@
 // Env knobs: TILEDQR_SERVE_COUNT, TILEDQR_SERVE_N, TILEDQR_SERVE_NB,
 // TILEDQR_LARGE_N, TILEDQR_THREADS, TILEDQR_REPS, TILEDQR_QUICK,
 // TILEDQR_BENCH_JSON (output path, default BENCH_serving.json).
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/timer.hpp"
@@ -151,21 +153,41 @@ void add_mode_row(TextTable& t, const char* mode, const ModeResult& r, const Mod
              stringf("%.2fx", base.seconds / r.seconds)});
 }
 
+/// Spread of repeated overhead passes, us/graph: one pass alone moved by
+/// up to 1.7x between runs of the same binary.
+struct OverheadQuartiles {
+  int passes = 0;
+  double q1 = 0.0, median = 0.0, q3 = 0.0;
+};
+
 /// Pure scheduling overhead (paper fig. 2-3 style): drive the small-QR DAG
 /// with empty task bodies, so the only cost is plan lookup + dispatch. This
 /// is the quantity the persistent pool + plan cache exist to shrink, and it
-/// is hardware-independent enough to compare across hosts. Returns us/graph.
-double run_overhead(int p, int q, int threads, int calls) {
+/// is hardware-independent enough to compare across hosts. Times `passes`
+/// passes of `calls` graphs each on one pool and cache and returns the
+/// quartiles of their us/graph.
+OverheadQuartiles run_overhead(int p, int q, int threads, int calls, int passes) {
   auto noop = [](std::int32_t) {};
   const trees::TreeConfig tree{};
   core::PlanCache cache;
   runtime::ThreadPool pool(threads);
-  WallTimer timer;
-  for (int c = 0; c < calls; ++c) {
-    auto plan = cache.get(p, q, tree);
-    pool.run(plan->graph, noop);
+  std::vector<double> us;
+  for (int pass = 0; pass < passes; ++pass) {
+    WallTimer timer;
+    for (int c = 0; c < calls; ++c) {
+      auto plan = cache.get(p, q, tree);
+      pool.run(plan->graph, noop);
+    }
+    us.push_back(timer.seconds() * 1e6 / calls);
   }
-  return timer.seconds() * 1e6 / calls;
+  std::sort(us.begin(), us.end());
+  auto quantile = [&](double f) {  // linear interpolation between order statistics
+    const double pos = f * double(us.size() - 1);
+    const size_t lo = size_t(pos);
+    const size_t hi = std::min(lo + 1, us.size() - 1);
+    return us[lo] + (pos - double(lo)) * (us[hi] - us[lo]);
+  };
+  return {passes, quantile(0.25), quantile(0.5), quantile(0.75)};
 }
 
 /// Per-submission scheduling overhead of a fused batch vs per-matrix DAGs:
@@ -263,10 +285,13 @@ int main() {
   // ---- pure scheduling overhead ----------------------------------------- --
   const int tile_p = int((small_n + small_nb - 1) / small_nb);
   const int overhead_calls = knobs.quick ? 100 : 400;
-  const double overhead_us = run_overhead(tile_p, tile_p, threads, overhead_calls);
-  std::printf("scheduling overhead on the %dx%d-tile DAG (empty bodies, %d calls):\n", tile_p,
-              tile_p, overhead_calls);
-  std::printf("  persistent pool + cache  : %9.1f us/graph\n\n", overhead_us);
+  const OverheadQuartiles overhead =
+      run_overhead(tile_p, tile_p, threads, overhead_calls, /*passes=*/9);
+  std::printf("scheduling overhead on the %dx%d-tile DAG (empty bodies, %d passes of %d "
+              "calls):\n",
+              tile_p, tile_p, overhead.passes, overhead_calls);
+  std::printf("  persistent pool + cache  : %9.1f us/graph median (quartiles %.1f-%.1f)\n\n",
+              overhead.median, overhead.q1, overhead.q3);
 
   // ---- fused vs per-matrix submission overhead -------------------------- --
   std::vector<FusedOverheadResult> fused_overheads;
@@ -364,8 +389,9 @@ int main() {
                     "\"fused_hits\": %ld, \"fused_misses\": %ld}},\n",
                     cache_stats.hits, cache_stats.misses, cache_stats.hit_rate(),
                     cache_stats.fused_hits, cache_stats.fused_misses)
-         << stringf("  \"scheduling_overhead_us_per_graph\": {\"persistent_pool\": %.1f},\n",
-                    overhead_us);
+         << stringf("  \"scheduling_overhead_us_per_graph\": {\"persistent_pool\": %.1f, "
+                    "\"q1\": %.1f, \"q3\": %.1f, \"passes\": %d},\n",
+                    overhead.median, overhead.q1, overhead.q3, overhead.passes);
     json << "  \"fused_overhead_us_per_graph\": [";
     for (size_t i = 0; i < fused_overheads.size(); ++i) {
       const auto& fo = fused_overheads[i];

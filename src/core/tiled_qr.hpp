@@ -80,6 +80,8 @@ class TStore {
 template <typename T>
 void run_task_kernels(const dag::Task& t, TileMatrix<T>& a, TStore<T>& ts, TStore<T>& t2s,
                       int ib) {
+  using kernels::detail::Region;
+  using kernels::detail::Scratch;
   switch (t.kind) {
     case kernels::KernelKind::GEQRT:
       kernels::geqrt(ib, a.tile(t.i, t.k), ts.at(t.i, t.k));
@@ -106,7 +108,7 @@ void run_task_kernels(const dag::Task& t, TileMatrix<T>& a, TStore<T>& ts, TStor
       kernels::gelqt(ib, a.tile(t.k, t.i), ts.at(t.i, t.k));
       break;
     case kernels::KernelKind::UNMLQ: {
-      kernels::detail::AdjointScratch<T> c(a.tile(t.j, t.i));
+      kernels::detail::AdjointScratch<T> c(a.tile(t.j, t.i), Region::Full, Scratch::Adjoint0);
       kernels::unmlq(ApplyTrans::ConjTrans, ib, a.tile(t.k, t.i), ts.at(t.i, t.k), c.view());
       c.commit();
       break;
@@ -115,8 +117,8 @@ void run_task_kernels(const dag::Task& t, TileMatrix<T>& a, TStore<T>& ts, TStor
       kernels::tslqt(ib, a.tile(t.k, t.piv), a.tile(t.k, t.i), ts.at(t.i, t.k));
       break;
     case kernels::KernelKind::TSMLQ: {
-      kernels::detail::AdjointScratch<T> c1(a.tile(t.j, t.piv));
-      kernels::detail::AdjointScratch<T> c2(a.tile(t.j, t.i));
+      kernels::detail::AdjointScratch<T> c1(a.tile(t.j, t.piv), Region::Full, Scratch::Adjoint0);
+      kernels::detail::AdjointScratch<T> c2(a.tile(t.j, t.i), Region::Full, Scratch::Adjoint1);
       kernels::tsmlq(ApplyTrans::ConjTrans, ib, a.tile(t.k, t.i), ts.at(t.i, t.k), c1.view(),
                      c2.view());
       c1.commit();
@@ -127,8 +129,8 @@ void run_task_kernels(const dag::Task& t, TileMatrix<T>& a, TStore<T>& ts, TStor
       kernels::ttlqt(ib, a.tile(t.k, t.piv), a.tile(t.k, t.i), t2s.at(t.i, t.k));
       break;
     case kernels::KernelKind::TTMLQ: {
-      kernels::detail::AdjointScratch<T> c1(a.tile(t.j, t.piv));
-      kernels::detail::AdjointScratch<T> c2(a.tile(t.j, t.i));
+      kernels::detail::AdjointScratch<T> c1(a.tile(t.j, t.piv), Region::Full, Scratch::Adjoint0);
+      kernels::detail::AdjointScratch<T> c2(a.tile(t.j, t.i), Region::Full, Scratch::Adjoint1);
       kernels::ttmlq(ApplyTrans::ConjTrans, ib, a.tile(t.k, t.i), t2s.at(t.i, t.k), c1.view(),
                      c2.view());
       c1.commit();
@@ -183,7 +185,7 @@ class TiledQr {
     const std::int64_t k = std::min(a_.m(), a_.n());
     Matrix<T> r(k, a_.n());
     for (std::int64_t j = 0; j < a_.n(); ++j)
-      for (std::int64_t i = 0; i <= std::min<std::int64_t>(j, k - 1); ++i) r(i, j) = a_.at(i, j);
+      a_.read_column(j, 0, std::min(j + 1, k), r.view().col(j));
     return r;
   }
 
@@ -194,8 +196,7 @@ class TiledQr {
     TILEDQR_CHECK(kind_ == kernels::FactorKind::LQ, "l_factor: requires an LQ factorization");
     const std::int64_t k = std::min(a_.m(), a_.n());
     Matrix<T> l(a_.m(), k);
-    for (std::int64_t i = 0; i < a_.m(); ++i)
-      for (std::int64_t j = 0; j <= std::min<std::int64_t>(i, k - 1); ++j) l(i, j) = a_.at(i, j);
+    for (std::int64_t j = 0; j < k; ++j) a_.read_column(j, j, a_.m(), l.view().col(j) + j);
     return l;
   }
 

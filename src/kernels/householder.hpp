@@ -13,6 +13,7 @@
 //   GEMMs over a per-thread expansion of the reflector block.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -168,12 +169,20 @@ namespace detail {
 template <typename T>
 using WorkVec = std::vector<T, AlignedAllocator<T>>;
 
-/// Per-thread scratch for larfb: grows to the largest block a thread has
-/// applied and is reused after that, so a steady-state apply never
-/// allocates. O(nb^2) per thread and scalar type.
+/// The per-thread scratch buffers of one tile kernel call. Every routine
+/// that is live at once on a thread owns a different slot, so no buffer is
+/// handed out twice: larfb inside a factor kernel's tau/work loop, inside
+/// the (at most two) adjoint scratches of an LQ task.
+enum class Scratch { Larfb, Tau, Work, Adjoint0, Adjoint1, Count };
+
+/// Per-thread scratch buffer `slot`: grows to the largest request the thread
+/// has made and is reused after that, so steady-state kernels never
+/// allocate. The contents are whatever the slot's previous user left; O(nb^2)
+/// per slot, thread and scalar type.
 template <typename T>
-T* larfb_scratch(std::size_t n) {
-  thread_local WorkVec<T> buf;
+T* thread_scratch(Scratch slot, std::size_t n) {
+  thread_local std::array<WorkVec<T>, std::size_t(Scratch::Count)> bufs;
+  auto& buf = bufs[std::size_t(slot)];
   if (buf.size() < n) buf.resize(n);
   return buf.data();
 }
@@ -207,7 +216,8 @@ void larfb(ApplyTrans trans, VShape shape, VLayout layout, ConstMatrixView<T> v,
   TILEDQR_ASSERT(!has_top || (top.rows() == sb && top.cols() == n));
   if (n == 0 || sb == 0) return;
 
-  T* s = detail::larfb_scratch<T>(std::size_t(sb) * std::size_t(rows + sb + 2 * n));
+  T* s = detail::thread_scratch<T>(detail::Scratch::Larfb,
+                                   std::size_t(sb) * std::size_t(rows + sb + 2 * n));
   MatrixView<T> vs(s, rows, sb, rows);
   MatrixView<T> ts(s + rows * sb, sb, sb, sb);
   MatrixView<T> w(ts.data() + sb * sb, sb, n, sb);

@@ -31,6 +31,13 @@
 // inside its reflector region for the same reason.
 #pragma once
 
+#include <algorithm>
+#include <type_traits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "kernels/tile_kernels.hpp"
 #include "matrix/scalar.hpp"
 
@@ -38,12 +45,59 @@ namespace tiledqr::kernels {
 
 namespace detail {
 
-/// dst := src^H (dst must be src.cols() x src.rows(); no aliasing).
+/// Which part of a square source an adjoint copy reads (diagonal included).
+enum class Part { All, Lower, Upper };
+
+/// One full 8 x 8 block of adjoint_part: d(j, i) := conj(s(i, j)). Doubles
+/// go through 2 x 2 register transposes where SSE2 is there (two column
+/// loads, two unpacks, two row stores); other scalars take a fixed-size
+/// loop the compiler unrolls.
 template <typename T>
-void adjoint_copy(ConstMatrixView<T> src, MatrixView<T> dst) {
+void adjoint_block8(const T* s, std::int64_t ls, T* d, std::int64_t ld) {
+#if defined(__SSE2__)
+  if constexpr (std::is_same_v<T, double>) {
+    for (std::int64_t j = 0; j < 8; j += 2)
+      for (std::int64_t i = 0; i < 8; i += 2) {
+        const __m128d c0 = _mm_loadu_pd(s + i + j * ls);
+        const __m128d c1 = _mm_loadu_pd(s + i + (j + 1) * ls);
+        _mm_storeu_pd(d + j + i * ld, _mm_unpacklo_pd(c0, c1));
+        _mm_storeu_pd(d + j + (i + 1) * ld, _mm_unpackhi_pd(c0, c1));
+      }
+    return;
+  }
+#endif
+  for (std::int64_t j = 0; j < 8; ++j)
+    for (std::int64_t i = 0; i < 8; ++i) d[j + i * ld] = conj_if_complex(s[i + j * ls]);
+}
+
+/// dst(j, i) := conj(src(i, j)) over `part` of src, in 8 x 8 cache blocks:
+/// each block reads eight source column runs and writes eight destination
+/// column runs, so both sides move whole cache lines instead of one strided
+/// element per line. Full off-diagonal blocks take adjoint_block8; edge and
+/// diagonal blocks clip per element. dst must be src.cols() x src.rows(); no
+/// aliasing.
+template <typename T>
+void adjoint_part(ConstMatrixView<T> src, MatrixView<T> dst, Part part) {
+  constexpr std::int64_t kB = 8;
   TILEDQR_ASSERT(dst.rows() == src.cols() && dst.cols() == src.rows());
-  for (std::int64_t j = 0; j < src.cols(); ++j)
-    for (std::int64_t i = 0; i < src.rows(); ++i) dst(j, i) = conj_if_complex(src(i, j));
+  const std::int64_t ls = src.ld(), ld = dst.ld();
+  for (std::int64_t jb = 0; jb < src.cols(); jb += kB) {
+    const std::int64_t je = std::min(jb + kB, src.cols());
+    const std::int64_t ib0 = part == Part::Lower ? jb : 0;
+    const std::int64_t ib1 = part == Part::Upper ? std::min(je, src.rows()) : src.rows();
+    for (std::int64_t ib = ib0; ib < ib1; ib += kB) {
+      const std::int64_t ie = std::min(ib + kB, ib1);
+      if (ie - ib == kB && je - jb == kB && (part == Part::All || ib != jb)) {
+        adjoint_block8(src.data() + ib + jb * ls, ls, dst.data() + jb + ib * ld, ld);
+        continue;
+      }
+      for (std::int64_t j = jb; j < je; ++j) {
+        const std::int64_t lo = part == Part::Lower ? std::max(ib, j) : ib;
+        const std::int64_t hi = part == Part::Upper ? std::min(ie, j + 1) : ie;
+        for (std::int64_t i = lo; i < hi; ++i) dst(j, i) = conj_if_complex(src(i, j));
+      }
+    }
+  }
 }
 
 /// Which elements of the bound tile an AdjointScratch may touch.
@@ -55,41 +109,35 @@ enum class Region {
 /// Scratch tile bound to a live view: adjoints in on construction, back out
 /// on commit(). With Region::LowerTriangle only the tile's lower triangle is
 /// read and written (its image is the scratch's upper triangle — exactly the
-/// elements tsqrt/ttqrt access); the rest of the scratch stays uninitialized
-/// and the tile's strictly-upper reflectors are never loaded, which keeps the
-/// wrapper safe against concurrent UNMLQ readers of the same tile.
+/// elements tsqrt/ttqrt access); the rest of the scratch keeps whatever its
+/// slot held before and the tile's strictly-upper reflectors are never
+/// loaded, which keeps the wrapper safe against concurrent UNMLQ readers of
+/// the same tile. The buffer is the thread's `slot` scratch, so a task
+/// allocates nothing once its thread has warmed up; the two scratches of one
+/// task take Scratch::Adjoint0 and Scratch::Adjoint1.
 template <typename T>
 class AdjointScratch {
  public:
-  explicit AdjointScratch(MatrixView<T> tile, Region region = Region::Full)
-      : tile_(tile), region_(region), buf_(size_t(tile.rows()) * size_t(tile.cols())) {
-    if (region_ == Region::Full) {
-      adjoint_copy(ConstMatrixView<T>(tile_), view());
-    } else {
-      auto v = view();
-      for (std::int64_t j = 0; j < tile_.cols(); ++j)
-        for (std::int64_t i = j; i < tile_.rows(); ++i) v(j, i) = conj_if_complex(tile_(i, j));
-    }
+  AdjointScratch(MatrixView<T> tile, Region region, Scratch slot)
+      : tile_(tile), region_(region),
+        buf_(thread_scratch<T>(slot, size_t(tile.rows()) * size_t(tile.cols()))) {
+    adjoint_part(ConstMatrixView<T>(tile_), view(),
+                 region_ == Region::Full ? Part::All : Part::Lower);
   }
 
   [[nodiscard]] MatrixView<T> view() {
-    return MatrixView<T>(buf_.data(), tile_.cols(), tile_.rows(), tile_.cols());
+    return MatrixView<T>(buf_, tile_.cols(), tile_.rows(), tile_.cols());
   }
 
   void commit() {
-    if (region_ == Region::Full) {
-      adjoint_copy(ConstMatrixView<T>(view()), tile_);
-      return;
-    }
-    auto v = view();
-    for (std::int64_t j = 0; j < tile_.cols(); ++j)
-      for (std::int64_t i = j; i < tile_.rows(); ++i) tile_(i, j) = conj_if_complex(v(j, i));
+    adjoint_part(ConstMatrixView<T>(view()), tile_,
+                 region_ == Region::Full ? Part::All : Part::Upper);
   }
 
  private:
   MatrixView<T> tile_;
   Region region_;
-  WorkVec<T> buf_;
+  T* buf_;
 };
 
 }  // namespace detail
@@ -100,7 +148,7 @@ class AdjointScratch {
 // GEQRT's ib x nb block factors.
 template <typename T>
 void gelqt(int ib, MatrixView<T> a, MatrixView<T> t) {
-  detail::AdjointScratch<T> s(a);
+  detail::AdjointScratch<T> s(a, detail::Region::Full, detail::Scratch::Adjoint0);
   geqrt(ib, s.view(), t);
   s.commit();
 }
@@ -112,8 +160,8 @@ template <typename T>
 void tslqt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
   // a1's strictly-upper reflectors may be under concurrent UNMLQ reads;
   // the dual tsqrt never touches a1's strictly-lower (dual) part anyway.
-  detail::AdjointScratch<T> s1(a1, detail::Region::LowerTriangle);
-  detail::AdjointScratch<T> s2(a2);
+  detail::AdjointScratch<T> s1(a1, detail::Region::LowerTriangle, detail::Scratch::Adjoint0);
+  detail::AdjointScratch<T> s2(a2, detail::Region::Full, detail::Scratch::Adjoint1);
   tsqrt(ib, s1.view(), s2.view(), t);
   s1.commit();
   s2.commit();
@@ -128,8 +176,8 @@ void ttlqt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
   // Both tiles carry live GELQT row reflectors strictly above the diagonal
   // that UNMLQ tasks read in parallel; the dual ttqrt only works on the
   // upper (dual) triangles, so restrict both scratches to the L region.
-  detail::AdjointScratch<T> s1(a1, detail::Region::LowerTriangle);
-  detail::AdjointScratch<T> s2(a2, detail::Region::LowerTriangle);
+  detail::AdjointScratch<T> s1(a1, detail::Region::LowerTriangle, detail::Scratch::Adjoint0);
+  detail::AdjointScratch<T> s2(a2, detail::Region::LowerTriangle, detail::Scratch::Adjoint1);
   ttqrt(ib, s1.view(), s2.view(), t);
   s1.commit();
   s2.commit();

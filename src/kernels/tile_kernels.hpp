@@ -113,15 +113,15 @@ void geqrt(int ib, MatrixView<T> a, MatrixView<T> t) {
   TILEDQR_CHECK(t.rows() >= std::min<std::int64_t>(ib, k) && t.cols() >= k,
                 "geqrt: T too small");
 
-  detail::WorkVec<T> tau(static_cast<size_t>(k));
-  detail::WorkVec<T> work(static_cast<size_t>(n));
+  T* tau = detail::thread_scratch<T>(detail::Scratch::Tau, static_cast<size_t>(k));
+  T* work = detail::thread_scratch<T>(detail::Scratch::Work, static_cast<size_t>(n));
 
   for (std::int64_t i = 0; i < k; i += ib) {
     const std::int64_t sb = std::min<std::int64_t>(ib, k - i);
     auto panel = a.sub(i, i, m - i, sb);
-    geqr2(panel, tau.data() + i, work.data());
+    geqr2(panel, tau + i, work);
     auto tblk = t.sub(0, i, sb, sb);
-    larft(ConstMatrixView<T>(panel), tau.data() + i, tblk);
+    larft(ConstMatrixView<T>(panel), tau + i, tblk);
     if (i + sb < n) {
       larfb(ApplyTrans::ConjTrans, VShape::UnitLower, VLayout::Columns, ConstMatrixView<T>(panel),
             ConstMatrixView<T>(tblk), MatrixView<T>(), a.sub(i, i + sb, m - i, n - i - sb));
@@ -152,7 +152,7 @@ void tsqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
   TILEDQR_CHECK(a2.cols() == n, "tsqrt: a2 col mismatch");
   TILEDQR_CHECK(ib >= 1, "tsqrt: ib must be >= 1");
 
-  detail::WorkVec<T> tau(static_cast<size_t>(n));
+  T* tau = detail::thread_scratch<T>(detail::Scratch::Tau, static_cast<size_t>(n));
 
   for (std::int64_t i = 0; i < n; i += ib) {
     const std::int64_t sb = std::min<std::int64_t>(ib, n - i);
@@ -213,7 +213,7 @@ void ttqrt(int ib, MatrixView<T> a1, MatrixView<T> a2, MatrixView<T> t) {
   TILEDQR_CHECK(a2.cols() == n, "ttqrt: a2 col mismatch");
   TILEDQR_CHECK(ib >= 1, "ttqrt: ib must be >= 1");
 
-  detail::WorkVec<T> tau(static_cast<size_t>(n));
+  T* tau = detail::thread_scratch<T>(detail::Scratch::Tau, static_cast<size_t>(n));
 
   for (std::int64_t i = 0; i < n; i += ib) {
     const std::int64_t sb = std::min<std::int64_t>(ib, n - i);
