@@ -6,8 +6,8 @@
 //   pool-batch       — per-matrix submissions: all DAGs in flight at once,
 //                      interleaved on the shared pool
 //   pool-fused       — QrSession::factorize_batch: the whole batch fused
-//                      into ONE DAG submission (cached fused plan + cached
-//                      scheduling ranks, per-subgraph completion sentinels)
+//                      into ONE pool component, one part per matrix on the
+//                      cached plan and ranks, each part completing alone
 //
 // A dedicated overhead section isolates the per-submission scheduling cost
 // of fused vs per-matrix batches with empty task bodies, and the fused
@@ -111,8 +111,8 @@ ModeResult run_pool_fused(core::QrSession& session, const Workload& w, int reps)
   double best = -1.0;
   for (int r = 0; r < reps; ++r) {
     WallTimer timer;
-    std::vector<TileMatrix<double>> copies(w.tiles.begin(), w.tiles.end());
-    auto qrs = session.factorize_batch(std::move(copies), w.opt);
+    std::vector<TileMatrix<double>> batch(w.tiles.begin(), w.tiles.end());
+    auto qrs = session.factorize_batch(std::move(batch), w.opt);
     (void)qrs;
     double sec = timer.seconds();
     if (best < 0.0 || sec < best) best = sec;
@@ -125,8 +125,8 @@ ModeResult run_pool_fused(core::QrSession& session, const Workload& w, int reps)
 /// Fused results must be bitwise identical to the sequential per-matrix
 /// replay (the acceptance bar for DAG fusion).
 bool verify_fused_bitwise(core::QrSession& session, const Workload& w, int check_count) {
-  std::vector<TileMatrix<double>> copies(w.tiles.begin(), w.tiles.end());
-  auto qrs = session.factorize_batch(std::move(copies), w.opt);
+  std::vector<TileMatrix<double>> batch(w.tiles.begin(), w.tiles.end());
+  auto qrs = session.factorize_batch(std::move(batch), w.opt);
   const int limit = std::min<int>(check_count, int(qrs.size()));
   for (int i = 0; i < limit; ++i) {
     TileMatrix<double> a = w.tiles[size_t(i)];
@@ -192,7 +192,7 @@ OverheadQuartiles run_overhead(int p, int q, int threads, int calls, int passes)
 
 /// Per-submission scheduling overhead of a fused batch vs per-matrix DAGs:
 /// the same K empty-body graphs dispatched as K submissions (cached plan +
-/// cached ranks each) or as one cached fused submission. Both numbers are
+/// cached ranks each) or as one submission of K parts on that plan. Both numbers are
 /// us per graph, so fused < per-matrix means fusion saves real scheduler
 /// work at that batch size.
 struct FusedOverheadResult {
@@ -208,8 +208,9 @@ FusedOverheadResult run_fused_overhead(int p, int q, int threads, int batch, int
   const trees::TreeConfig tree{};
   core::PlanCache cache;
   runtime::ThreadPool pool(threads);
-  auto plan = cache.get(p, q, tree);
-  auto fused = cache.get_fused(p, q, tree, batch);  // both warmed outside the timers
+  auto plan = cache.get(p, q, tree);  // warmed outside the timers
+  const std::vector<runtime::ThreadPool::Part> parts(
+      size_t(batch), runtime::ThreadPool::Part{&plan->graph, &plan->ranks});
   {
     WallTimer timer;
     std::vector<std::future<void>> futures;
@@ -226,10 +227,11 @@ FusedOverheadResult run_fused_overhead(int p, int q, int threads, int batch, int
   {
     WallTimer timer;
     for (int c = 0; c < calls; ++c) {
-      auto f = pool.submit(fused->component_graph(), noop,
-                           runtime::SchedulePriority::CriticalPath, 0, nullptr,
-                           &fused->component_ranks(), fused->copies());
-      f.get();
+      std::promise<void> done;
+      pool.submit(
+          parts, [](std::int32_t, std::int32_t) {}, nullptr,
+          [&done](std::exception_ptr) { done.set_value(); });
+      done.get_future().get();
     }
     out.fused_us_per_graph = timer.seconds() * 1e6 / double(calls) / double(batch);
   }
@@ -272,10 +274,8 @@ int main() {
   bench::emit(ts, "serving_small", knobs);
   std::printf("fused batch bitwise identical to sequential replay: %s\n",
               fused_bitwise ? "yes" : "NO (BUG)");
-  std::printf("plan cache: %ld hits / %ld misses (hit rate %.3f), %zu entries; "
-              "fused: %ld hits / %ld misses, %zu entries\n",
-              cache_stats.hits, cache_stats.misses, cache_stats.hit_rate(), cache_stats.entries,
-              cache_stats.fused_hits, cache_stats.fused_misses, cache_stats.fused_entries);
+  std::printf("plan cache: %ld hits / %ld misses (hit rate %.3f), %zu entries\n",
+              cache_stats.hits, cache_stats.misses, cache_stats.hit_rate(), cache_stats.entries);
   std::printf("pool: %ld graphs, %ld tasks executed, %ld stolen (%ld lost CAS, %ld empty "
               "probes), locality %ld home / %ld foreign\n\n",
               pool_stats.graphs_completed, pool_stats.tasks_executed, pool_stats.tasks_stolen,
@@ -385,10 +385,8 @@ int main() {
          << stringf("    \"speedup_pool_fused_vs_sequential\": %.3f,\n",
                     seq_small.seconds / fused_small.seconds)
          << stringf("    \"fused_bitwise_identical\": %s,\n", fused_bitwise ? "true" : "false")
-         << stringf("    \"plan_cache\": {\"hits\": %ld, \"misses\": %ld, \"hit_rate\": %.4f, "
-                    "\"fused_hits\": %ld, \"fused_misses\": %ld}},\n",
-                    cache_stats.hits, cache_stats.misses, cache_stats.hit_rate(),
-                    cache_stats.fused_hits, cache_stats.fused_misses)
+         << stringf("    \"plan_cache\": {\"hits\": %ld, \"misses\": %ld, \"hit_rate\": %.4f}},\n",
+                    cache_stats.hits, cache_stats.misses, cache_stats.hit_rate())
          << stringf("  \"scheduling_overhead_us_per_graph\": {\"persistent_pool\": %.1f, "
                     "\"q1\": %.1f, \"q3\": %.1f, \"passes\": %d},\n",
                     overhead.median, overhead.q1, overhead.q3, overhead.passes);

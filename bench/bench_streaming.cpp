@@ -15,9 +15,9 @@
 //   1. Scheduling overhead (empty bodies): the per-graph dispatch cost of
 //      the three modes at several burst depths, hardware-independent enough
 //      to compare across hosts. This is the headline: streamed grafts must
-//      be within 10% of fixed-batch fusion (they ride the same cached
-//      FusedPlans) and >= 1.3x cheaper than per-matrix submissions at
-//      depth >= 4.
+//      be within 10% of fixed-batch fusion (both run one multi-part
+//      component per burst on the same cached plan) and >= 1.3x cheaper
+//      than per-matrix submissions at depth >= 4.
 //   2. Real kernels through the session API (submit / factorize_batch /
 //      FactorStream), with the streamed results checked bitwise against the
 //      sequential replay.
@@ -58,25 +58,19 @@ struct OverheadRow {
 };
 
 /// Per-request promise machinery of one fused burst — exactly what
-/// submit_batch / FactorStream do per component: noop "kernels" plus the
-/// per-part sentinel decrement, with the last task of each part fulfilling
-/// that request's promise. Keeping the promises in the measurement mirrors
-/// the serving API: every mode hands its caller one future per request.
+/// submit_batch / FactorStream do per component: noop "kernels" in `depth`
+/// parts on one plan, with each part's pool callback fulfilling that
+/// request's promise. Keeping the promises in the measurement mirrors the
+/// serving API: every mode hands its caller one future per request.
 struct SentinelBurst {
-  explicit SentinelBurst(const core::FusedPlan& fused) : fused(&fused) {
-    const size_t parts = size_t(fused.part_count());
-    remaining = std::vector<std::atomic<std::int32_t>>(parts);
-    promises.resize(parts);
-    for (size_t i = 0; i < parts; ++i)
-      remaining[i].store(fused.part_size(int(i)), std::memory_order_relaxed);
+  SentinelBurst(const core::Plan& plan, int depth)
+      : parts(size_t(depth), runtime::ThreadPool::Part{&plan.graph, &plan.ranks}),
+        promises(size_t(depth)) {}
+  static void body(std::int32_t, std::int32_t) {}
+  void part_done(std::int32_t part, const std::exception_ptr&) {
+    promises[size_t(part)].set_value();
   }
-  void body(std::int32_t idx) {
-    const size_t part = size_t(fused->part_of(idx));
-    if (remaining[part].fetch_sub(1, std::memory_order_acq_rel) == 1)
-      promises[part].set_value();
-  }
-  const core::FusedPlan* fused;
-  std::vector<std::atomic<std::int32_t>> remaining;
+  std::vector<runtime::ThreadPool::Part> parts;
   std::vector<std::promise<void>> promises;
 };
 
@@ -95,8 +89,7 @@ OverheadRow run_overhead(core::PlanCache& cache, runtime::ThreadPool& pool, int 
   row.depth = depth;
   auto noop = [](std::int32_t) {};
   const trees::TreeConfig tree{};
-  auto plan = cache.get(p, q, tree);
-  auto fused = cache.get_fused(p, q, tree, depth);  // warmed outside the timers
+  auto plan = cache.get(p, q, tree);  // warmed outside the timers
   const int bursts = std::max(1, count / depth);
 
   double best = -1.0;
@@ -120,13 +113,13 @@ OverheadRow run_overhead(core::PlanCache& cache, runtime::ThreadPool& pool, int 
   for (int r = 0; r < reps; ++r) {
     WallTimer timer;
     for (int b = 0; b < bursts; ++b) {
-      SentinelBurst state(*fused);
+      SentinelBurst state(*plan, depth);
       std::vector<std::future<void>> futures;
       for (auto& p2 : state.promises) futures.push_back(p2.get_future());
       pool.submit(
-          fused->component_graph(), [&state](std::int32_t idx) { state.body(idx); },
-          [](std::exception_ptr) {}, runtime::SchedulePriority::CriticalPath, 0, nullptr,
-          &fused->component_ranks(), fused->copies());
+          state.parts, &SentinelBurst::body,
+          [&state](std::int32_t part, std::exception_ptr e) { state.part_done(part, e); },
+          [](std::exception_ptr) {});
       for (auto& f : futures) f.get();  // batch boundary: drain before the next burst
     }
     best = best < 0 ? timer.seconds() : std::min(best, timer.seconds());
@@ -145,12 +138,11 @@ OverheadRow run_overhead(core::PlanCache& cache, runtime::ThreadPool& pool, int 
     // until everything has been accepted (the stream's backpressure is its
     // pending bound, not a batch boundary).
     for (int b = 0; b < bursts; ++b) {
-      states.push_back(std::make_unique<SentinelBurst>(*fused));
+      states.push_back(std::make_unique<SentinelBurst>(*plan, depth));
       auto* state = states.back().get();
       for (auto& p2 : state->promises) futures.push_back(p2.get_future());
-      stream.append(
-          fused->component_graph(), [state](std::int32_t idx) { state->body(idx); }, nullptr,
-          nullptr, &fused->component_ranks(), fused->copies());
+      stream.append(state->parts, &SentinelBurst::body,
+                    [state](std::int32_t part, std::exception_ptr e) { state->part_done(part, e); });
     }
     for (auto& f : futures) f.get();
     best = best < 0 ? timer.seconds() : std::min(best, timer.seconds());
@@ -514,9 +506,9 @@ int main() {
   }
 
   // ---- acceptance ------------------------------------------------------- --
-  // On the overhead-bound grid, at burst depth >= 4: streamed grafts ride
-  // the same cached FusedPlans as fixed batches but skip the batch-boundary
-  // drains, so they must be within 10% of fused dispatch cost (they are in
+  // On the overhead-bound grid, at burst depth >= 4: streamed grafts run
+  // the same multi-part components as fixed batches but skip the
+  // batch-boundary drains, so they must be within 10% of fused dispatch cost (they are in
   // fact cheaper) and >= 1.3x cheaper than per-matrix submissions.
   bool ok = bitwise && bounds_hold;
   for (const auto& row : rows) {

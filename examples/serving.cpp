@@ -213,8 +213,8 @@ int main(int argc, char** argv) {
               metric("stream.interactive.latency.p95_us") * 1e-3);
   std::printf("autotuner: %ld hits / %ld misses, %zu shape decisions\n", tuning.hits,
               tuning.misses, tuning.entries);
-  std::printf("plan cache: %ld hits / %ld misses (hit rate %.3f), fused: %ld hits / %ld misses\n",
-              cache.hits, cache.misses, cache.hit_rate(), cache.fused_hits, cache.fused_misses);
+  std::printf("plan cache: %ld hits / %ld misses (hit rate %.3f)\n", cache.hits, cache.misses,
+              cache.hit_rate());
   std::printf("pool: %ld tasks executed, %ld stolen, %ld graphs, %ld streams opened "
               "(%ld still live)\n",
               pool.tasks_executed, pool.tasks_stolen, pool.graphs_completed,

@@ -23,46 +23,6 @@ Plan make_plan(int p, int q, const trees::TreeConfig& config, kernels::FactorKin
   return plan;
 }
 
-FusedPlan make_fused_plan(std::span<const std::shared_ptr<const Plan>> plans) {
-  FusedPlan fused;
-  size_t total = 0;
-  for (const auto& p : plans) total += p->graph.tasks.size();
-  fused.graph.tasks.reserve(total);
-  fused.ranks.reserve(total);
-  fused.parts.reserve(plans.size());
-  for (const auto& p : plans) {
-    const auto begin = fused.graph.append_offset(p->graph);
-    fused.parts.push_back(
-        FusedPlan::Part{begin, begin + std::int32_t(p->graph.tasks.size())});
-    fused.ranks.insert(fused.ranks.end(), p->ranks.begin(), p->ranks.end());
-  }
-  return fused;
-}
-
-FusedPlan fuse_task_graphs(std::span<const dag::TaskGraph* const> graphs) {
-  FusedPlan fused;
-  size_t total = 0;
-  for (const auto* g : graphs) total += g->tasks.size();
-  fused.graph.tasks.reserve(total);
-  fused.ranks.reserve(total);
-  fused.parts.reserve(graphs.size());
-  for (const auto* g : graphs) {
-    const auto begin = fused.graph.append_offset(*g);
-    fused.parts.push_back(FusedPlan::Part{begin, begin + std::int32_t(g->tasks.size())});
-    const auto ranks = runtime::downward_ranks(*g);
-    fused.ranks.insert(fused.ranks.end(), ranks.begin(), ranks.end());
-  }
-  return fused;
-}
-
-FusedPlan make_homogeneous_fused_plan(std::shared_ptr<const Plan> base, int count) {
-  FusedPlan fused;
-  fused.stride = std::int32_t(base->graph.tasks.size());
-  fused.count = count;
-  fused.base = std::move(base);
-  return fused;
-}
-
 long plan_critical_path(int p, int q, const trees::TreeConfig& config) {
   return make_plan(p, q, config).critical_path;
 }

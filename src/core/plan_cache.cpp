@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/timer.hpp"
 
 namespace tiledqr::core {
@@ -23,14 +22,6 @@ size_t plan_bytes(const Plan& plan) {
          plan.ranks.capacity() * sizeof(long);
 }
 
-size_t fused_plan_bytes(const FusedPlan& fused) {
-  // Thin homogeneous plans carry no materialized state; the shared base plan
-  // is accounted by its own cache entry, so only the descriptor is charged.
-  return sizeof(FusedPlan) + graph_bytes(fused.graph) +
-         fused.parts.capacity() * sizeof(FusedPlan::Part) +
-         fused.ranks.capacity() * sizeof(long);
-}
-
 }  // namespace
 
 PlanCache::PlanCache(size_t byte_budget) : budget_(byte_budget) {
@@ -41,9 +32,6 @@ PlanCache::PlanCache(size_t byte_budget) : budget_(byte_budget) {
         out.push_back({"hits", double(s.hits)});
         out.push_back({"misses", double(s.misses)});
         out.push_back({"entries", double(s.entries)});
-        out.push_back({"fused_hits", double(s.fused_hits)});
-        out.push_back({"fused_misses", double(s.fused_misses)});
-        out.push_back({"fused_entries", double(s.fused_entries)});
         out.push_back({"evictions", double(s.evictions)});
         out.push_back({"bytes", double(s.bytes)});
         plan_time_.append_samples("plan_time", out);
@@ -63,7 +51,6 @@ size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
   mix(size_t(k.config.family));
   mix(size_t(k.config.bs));
   mix(size_t(k.config.grasap_k));
-  mix(size_t(k.fused_count));
   mix(size_t(k.factor));
   return h;
 }
@@ -78,7 +65,6 @@ PlanCache::Map::iterator PlanCache::insert_locked(const Key& key, Entry entry) {
     lru_.push_front(key);
     it->second.lru = lru_.begin();
     bytes_ += it->second.bytes;
-    ++(key.fused_count == 0 ? base_entries_ : fused_entries_);
     evict_over_budget_locked(&key);
   }
   return it;
@@ -91,7 +77,6 @@ void PlanCache::evict_over_budget_locked(const Key* keep) {
     if (keep && victim == *keep) break;  // never evict the entry just added
     auto it = map_.find(victim);
     bytes_ -= it->second.bytes;
-    --(victim.fused_count == 0 ? base_entries_ : fused_entries_);
     map_.erase(it);
     lru_.pop_back();
     ++evictions_;
@@ -100,17 +85,12 @@ void PlanCache::evict_over_budget_locked(const Key* keep) {
 
 std::shared_ptr<const Plan> PlanCache::get(int p, int q, const trees::TreeConfig& config,
                                            kernels::FactorKind factor) {
-  return get_impl(p, q, config, factor, /*count_stats=*/true);
-}
-
-std::shared_ptr<const Plan> PlanCache::get_impl(int p, int q, const trees::TreeConfig& config,
-                                                kernels::FactorKind factor, bool count_stats) {
-  const Key key{p, q, config, 0, factor};
+  const Key key{p, q, config, factor};
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) {
-      if (count_stats) ++hits_;
+      ++hits_;
       touch_locked(it->second);
       return it->second.plan;
     }
@@ -124,38 +104,8 @@ std::shared_ptr<const Plan> PlanCache::get_impl(int p, int q, const trees::TreeC
   entry.bytes = plan_bytes(*plan);
   entry.plan = std::move(plan);
   std::lock_guard<std::mutex> lock(mu_);
-  if (count_stats) ++misses_;
+  ++misses_;
   return insert_locked(key, std::move(entry))->second.plan;
-}
-
-std::shared_ptr<const FusedPlan> PlanCache::get_fused(int p, int q,
-                                                      const trees::TreeConfig& config,
-                                                      int count, kernels::FactorKind factor) {
-  TILEDQR_CHECK(count >= 1, "PlanCache::get_fused: count must be >= 1");
-  const Key key{p, q, config, count, factor};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      ++fused_hits_;
-      touch_locked(it->second);
-      return it->second.fused;
-    }
-  }
-  // Homogeneous by construction (count copies of one base plan), so the
-  // fused entry is a thin stride descriptor sharing the base plan — not a
-  // materialized count x base graph. The pool replicates at schedule time.
-  auto base = get_impl(p, q, config, factor, /*count_stats=*/false);
-  const std::int64_t t0 = obs::now_ns();
-  auto fused =
-      std::make_shared<const FusedPlan>(make_homogeneous_fused_plan(std::move(base), count));
-  plan_time_.record_ns(obs::now_ns() - t0);
-  Entry entry;
-  entry.bytes = fused_plan_bytes(*fused);
-  entry.fused = std::move(fused);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++fused_misses_;
-  return insert_locked(key, std::move(entry))->second.fused;
 }
 
 void PlanCache::set_byte_budget(size_t bytes) {
@@ -174,12 +124,9 @@ PlanCache::Stats PlanCache::stats() const {
   Stats s;
   s.hits = hits_;
   s.misses = misses_;
-  s.fused_hits = fused_hits_;
-  s.fused_misses = fused_misses_;
   s.evictions = evictions_;
   s.bytes = bytes_;
-  s.entries = base_entries_;
-  s.fused_entries = fused_entries_;
+  s.entries = map_.size();
   return s;
 }
 
@@ -188,12 +135,8 @@ void PlanCache::clear() {
   map_.clear();
   lru_.clear();
   bytes_ = 0;
-  base_entries_ = 0;
-  fused_entries_ = 0;
   hits_ = 0;
   misses_ = 0;
-  fused_hits_ = 0;
-  fused_misses_ = 0;
   evictions_ = 0;
 }
 

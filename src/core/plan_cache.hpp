@@ -10,10 +10,8 @@
 // QRs cheap (scheduling overhead, not flops, dominates there — paper §2.3 /
 // ROADMAP).
 //
-// The cache also memoizes *fused* plans — the disjoint union of `count`
-// copies of a base plan's DAG — so a homogeneous factorize_batch pays the
-// graph concatenation once per (shape, count) and every later batch of that
-// shape is a single hash lookup + one pool submission.
+// A batch of same-shape factorizations needs nothing more: it schedules one
+// pool component whose N parts all point at the one cached plan.
 //
 // Entries are LRU-ordered and can be bounded by a byte budget
 // (set_byte_budget), sized by an estimate of each plan's heap footprint.
@@ -32,19 +30,15 @@
 namespace tiledqr::core {
 
 /// Thread-safe memoizing cache of Plans keyed on (factor, p, q, TreeConfig)
-/// and of FusedPlans keyed on (factor, p, q, TreeConfig, count) — QR and LQ
-/// plans of the same reduction grid never collide. Returned plans are shared
+/// — QR and LQ plans of the same reduction grid never collide. Returned plans are shared
 /// and immutable; entries live until clear() or LRU eviction under a byte
 /// budget.
 class PlanCache {
  public:
   struct Stats {
-    long hits = 0;          ///< base-plan lookups served from the cache
-    long misses = 0;        ///< base-plan lookups that had to plan
-    size_t entries = 0;     ///< live base-plan entries
-    long fused_hits = 0;    ///< fused-plan lookups served from the cache
-    long fused_misses = 0;  ///< fused-plan lookups that had to concatenate
-    size_t fused_entries = 0;  ///< live fused-plan entries
+    long hits = 0;          ///< lookups served from the cache
+    long misses = 0;        ///< lookups that had to plan
+    size_t entries = 0;     ///< live entries
     long evictions = 0;     ///< entries dropped to fit the byte budget
     size_t bytes = 0;       ///< estimated heap footprint of live entries
 
@@ -66,12 +60,6 @@ class PlanCache {
       int p, int q, const trees::TreeConfig& config,
       kernels::FactorKind factor = kernels::FactorKind::QR);
 
-  /// Returns the cached fusion of `count` copies of the (p, q, config) base
-  /// plan — the scheduling object for a homogeneous batch. count >= 1.
-  [[nodiscard]] std::shared_ptr<const FusedPlan> get_fused(
-      int p, int q, const trees::TreeConfig& config, int count,
-      kernels::FactorKind factor = kernels::FactorKind::QR);
-
   /// Caps the estimated heap footprint of cached entries; least-recently-
   /// used entries are evicted (immediately, and on later inserts) until the
   /// cache fits. The most recently inserted entry is never evicted, so a
@@ -90,7 +78,6 @@ class PlanCache {
     int p;
     int q;
     trees::TreeConfig config;
-    int fused_count;  ///< 0 = base plan, >= 1 = fused plan of that many parts
     kernels::FactorKind factor;
     friend bool operator==(const Key&, const Key&) = default;
   };
@@ -98,8 +85,7 @@ class PlanCache {
     size_t operator()(const Key& k) const noexcept;
   };
   struct Entry {
-    std::shared_ptr<const Plan> plan;        ///< set iff key.fused_count == 0
-    std::shared_ptr<const FusedPlan> fused;  ///< set iff key.fused_count >= 1
+    std::shared_ptr<const Plan> plan;
     size_t bytes = 0;
     std::list<Key>::iterator lru;  ///< position in lru_ (front = most recent)
   };
@@ -109,28 +95,16 @@ class PlanCache {
   void touch_locked(Entry& entry);
   Map::iterator insert_locked(const Key& key, Entry entry);
   void evict_over_budget_locked(const Key* keep);
-  /// Base-plan lookup; `count_stats == false` for internal fetches (e.g.
-  /// building a fused plan) so client-facing hit/miss accounting only
-  /// reflects client calls.
-  [[nodiscard]] std::shared_ptr<const Plan> get_impl(int p, int q,
-                                                     const trees::TreeConfig& config,
-                                                     kernels::FactorKind factor,
-                                                     bool count_stats);
-
   mutable std::mutex mu_;
   Map map_;
   std::list<Key> lru_;
   size_t budget_ = 0;
   size_t bytes_ = 0;
-  size_t base_entries_ = 0;
-  size_t fused_entries_ = 0;
   long hits_ = 0;
   long misses_ = 0;
-  long fused_hits_ = 0;
-  long fused_misses_ = 0;
   long evictions_ = 0;
-  /// Wall time spent planning on misses (make_plan/make_fused_plan); lock-
-  /// free, recorded outside mu_.
+  /// Wall time spent planning on misses (make_plan); lock-free, recorded
+  /// outside mu_.
   obs::Histogram plan_time_;
   /// Declared last: deregistered before the fields its callback reads die.
   obs::MetricsRegistry::SourceHandle metrics_source_;

@@ -82,35 +82,26 @@ void FactorSession::rethrow_batch_failure(const std::exception_ptr& first, size_
 
 // ------------------------------------------------------------ dispatch path --
 
-/// One grafted component: its parts, the scheduling object they run as, and
-/// one sentinel counter per part (held alive by the pool's keepalive until
-/// the completion callback has run).
+/// One grafted component: its requests, one pool part each, and their
+/// target. The pool holds it as the keepalive until the component retires.
 struct FactorSession::Graft {
-  Graft(const Parts& p, Sink& t) : parts(p), remaining(p.size()), target(&t) {}
+  Graft(const Parts& p, Sink& t) : parts(p), target(&t) {}
   Parts parts;
-  std::vector<std::atomic<std::int32_t>> remaining;
   Sink* target;  ///< every part's sink; the parts keep it alive
-  const dag::TaskGraph* graph = nullptr;  ///< what the pool schedules
-  const std::vector<long>* keys = nullptr;
-  const FusedPlan* fused = nullptr;  ///< null: the lone part runs `graph` itself
-  FusedPlan owned;                   ///< materialized unions
-  std::shared_ptr<const FusedPlan> cached;  ///< homogeneous fusions
-  [[nodiscard]] int copies() const noexcept { return fused ? fused->copies() : 1; }
 };
 
 struct FactorSession::OneShot final : Sink {
   OneShot(FactorSession& s, int c) : session(s), cap(c) {}
 
-  void dispatch(const std::shared_ptr<Graft>& g, std::function<void(std::int32_t)> body,
+  void dispatch(const std::shared_ptr<Graft>& g, std::span<const runtime::ThreadPool::Part> parts,
+                runtime::ThreadPool::PartBody body, runtime::ThreadPool::PartDone on_part,
                 std::function<void(std::exception_ptr)> done) override {
-    // The cap is per matrix; a fused submission gets cap x parts workers
-    // (clamped to the pool), the aggregate concurrency of per-matrix
+    // The cap is per matrix; a multi-part submission gets cap x parts
+    // workers (clamped to the pool), the aggregate concurrency of per-matrix
     // submissions. 0 stays "whole pool"; a clamped cap cannot overflow.
-    const long parts = long(g->parts.size());
-    const int workers = cap > 0 ? int(std::min<long>(session.pool_.size(), cap * parts)) : 0;
-    session.pool_.submit(*g->graph, std::move(body), std::move(done),
-                         runtime::SchedulePriority::CriticalPath, workers, g, g->keys,
-                         g->copies());
+    const long n = long(parts.size());
+    const int workers = cap > 0 ? int(std::min<long>(session.pool_.size(), cap * n)) : 0;
+    session.pool_.submit(parts, std::move(body), std::move(on_part), std::move(done), workers, g);
   }
 
   void next_stage(std::shared_ptr<RequestBase> req) override {
@@ -128,62 +119,28 @@ std::shared_ptr<FactorSession::Sink> FactorSession::one_shot(int cap) {
 void FactorSession::graft(Parts parts, Sink& target) {
   try {
     auto g = std::make_shared<Graft>(parts, target);
-    const RequestBase& front = *parts.front();
-    if (parts.size() == 1) {
-      // A lone part keeps its own graph alive: the plan (or apply graph)
-      // is held by the request, which the graft holds.
-      g->graph = front.stage == Stage::Factor ? &front.plan->graph : &front.apply_graph;
-      if (front.stage == Stage::Factor) g->keys = &front.plan->ranks;  // else the pool ranks it
-    } else if (front.stage == Stage::Factor) {
-      if (std::all_of(parts.begin(), parts.end(),
-                      [&](const auto& r) { return r->plan == front.plan; })) {
-        // Every part shares the plan, so the front part's (normalized) tree
-        // is the fused-cache key for all of them.
-        const dag::TaskGraph& base = front.plan->graph;
-        g->cached = cache_.get_fused(base.p, base.q, front.tree, int(parts.size()), base.factor);
-        g->fused = g->cached.get();
-      } else {
-        std::vector<std::shared_ptr<const Plan>> plans;
-        for (const auto& r : parts) plans.push_back(r->plan);
-        g->owned = make_fused_plan(plans);
-        g->fused = &g->owned;
-      }
-    } else {
-      std::vector<const dag::TaskGraph*> graphs;
-      for (const auto& r : parts) graphs.push_back(&r->apply_graph);
-      g->owned = fuse_task_graphs(graphs);
-      g->fused = &g->owned;
-    }
-    if (g->fused) {
-      g->graph = &g->fused->component_graph();
-      g->keys = &g->fused->component_ranks();
-    }
-    for (size_t i = 0; i < parts.size(); ++i)
-      g->remaining[i].store(
-          g->fused ? g->fused->part_size(int(i)) : std::int32_t(g->graph->tasks.size()),
-          std::memory_order_relaxed);
+    // Each request is one part: its plan graph with the plan's cached ranks,
+    // or its apply graph, which the pool ranks.
+    std::vector<runtime::ThreadPool::Part> dag_parts;
+    dag_parts.reserve(parts.size());
+    for (const auto& r : parts)
+      dag_parts.push_back({&r->graph(), r->stage == Stage::Factor ? &r->plan->ranks : nullptr});
     target.dispatch(
-        g,
-        [raw = g.get()](std::int32_t idx) {
-          const size_t part = raw->fused ? size_t(raw->fused->part_of(idx)) : 0;
-          RequestBase& r = *raw->parts[part];
-          r.run(raw->fused ? raw->fused->task(idx) : raw->graph->tasks[size_t(idx)]);
-          // Per-part sentinel: the last retiring task of this part advances
-          // it (acq_rel pairs with the other workers' decrements, so their
-          // tile writes are visible to the next stage and to the future's
-          // reader).
-          if (raw->remaining[part].fetch_sub(1, std::memory_order_acq_rel) == 1)
-            r.advance(raw->parts[part]);
+        g, dag_parts,
+        [raw = g.get()](std::int32_t part, std::int32_t task) {
+          RequestBase& r = *raw->parts[size_t(part)];
+          r.run(r.graph().tasks[size_t(task)]);
         },
-        [g](std::exception_ptr error) {
-          // Unfinished parts exist only when a task threw and the pool
-          // cancelled the component; finished parts already advanced.
-          for (size_t i = 0; i < g->parts.size(); ++i)
-            if (g->remaining[i].load(std::memory_order_acquire) != 0)
-              g->parts[i]->fail(error ? error
-                                      : std::make_exception_ptr(Error("component cancelled")));
-          g->target->retired();
-        });
+        // A finished part advances: resolve its future, or build its next
+        // stage. A part that a task failure cut short fails.
+        [raw = g.get()](std::int32_t part, std::exception_ptr error) {
+          const auto& r = raw->parts[size_t(part)];
+          if (error)
+            r->fail(error);
+          else
+            r->advance(r);
+        },
+        [raw = g.get()](std::exception_ptr) { raw->target->retired(); });
   } catch (...) {
     const auto error = std::current_exception();
     for (auto& r : parts) r->fail(error);
@@ -201,9 +158,10 @@ struct FactorStreamBase::State final : FactorSession::Sink {
 
   /// Appends to the live pool stream under the cap fixed at open.
   void dispatch(const std::shared_ptr<FactorSession::Graft>& g,
-                std::function<void(std::int32_t)> body,
+                std::span<const runtime::ThreadPool::Part> parts,
+                runtime::ThreadPool::PartBody body, runtime::ThreadPool::PartDone on_part,
                 std::function<void(std::exception_ptr)> done) override {
-    stream.append(*g->graph, std::move(body), std::move(done), g, g->keys, g->copies());
+    stream.append(parts, std::move(body), std::move(on_part), std::move(done), g);
   }
 
   /// Instead of each grafting its own component, ready apply stages
@@ -317,9 +275,9 @@ struct FactorStreamBase::State final : FactorSession::Sink {
   }
 
   /// Grafts claimed work — the ready applies, then one component per plan
-  /// group — through the session primitive, outside the stream mutex
-  /// (planning a new (shape, count) fusion must not block pushes). A graft
-  /// that fails fails only its own requests and retires its inflight slot.
+  /// group — through the session primitive, outside the stream mutex (a
+  /// pool append must not block pushes). A graft that fails fails only its
+  /// own requests and retires its inflight slot.
   void graft(std::vector<Parts> groups, Parts applies = {}) {
     if (!applies.empty()) session->graft(std::move(applies), *this);
     for (auto& parts : groups) {

@@ -23,14 +23,15 @@
 // graft(parts, target). A Request holds a factorization (owned, or borrowed
 // from the caller), an optional right-hand side, and its stage: factor →
 // apply → resolve (a wide solve runs its L⁻¹b trsm head between factor and
-// apply). graft() picks the scheduling object for same-stage parts — a lone
-// part runs its own graph with the plan's cached ranks, parts sharing one
-// plan run the PlanCache's cached homogeneous FusedPlan, anything else a
-// materialized union — arms one sentinel counter per part, and hands the
-// component to the target. The last retiring task of a part advances it:
-// resolve its future, or build the next stage and pass it to the request's
-// sink. Parts resolve while the rest of their component still runs, and a
-// cancelled component fails exactly its unfinished parts.
+// apply). graft() runs same-stage requests as ONE pool component whose
+// parts are the requests' own graphs, whatever the mix: a plan graph with
+// the plan's cached ranks, or an apply graph. A batch on one plan is N parts
+// pointing at that one cached graph, so nothing is concatenated or copied.
+// The pool calls each part back once its last task has run and been
+// traced: a finished part advances — resolves its future, or builds the
+// next stage and passes it to the request's sink — while the rest of its
+// component still runs, and a cancelled component fails exactly its
+// unfinished parts.
 //
 // Two targets. A one-shot call is one pool submission under a per-call
 // worker cap, dealt across the workers (one large factorization needs that
@@ -404,8 +405,12 @@ class FactorSession {
     Sink(const Sink&) = delete;
     Sink& operator=(const Sink&) = delete;
     virtual ~Sink() = default;
-    /// Hands one graft's component to the pool; the graft is the keepalive.
-    virtual void dispatch(const std::shared_ptr<Graft>& g, std::function<void(std::int32_t)> body,
+    /// Hands one graft's component — `parts` with their body and per-part
+    /// callback — to the pool; the graft is the keepalive.
+    virtual void dispatch(const std::shared_ptr<Graft>& g,
+                          std::span<const runtime::ThreadPool::Part> parts,
+                          runtime::ThreadPool::PartBody body,
+                          runtime::ThreadPool::PartDone on_part,
                           std::function<void(std::exception_ptr)> done) = 0;
     /// `req` finished a stage and built its next one.
     virtual void next_stage(std::shared_ptr<RequestBase> req) = 0;
@@ -424,20 +429,24 @@ class FactorSession {
     virtual ~RequestBase() = default;
     /// Runs one task of the current stage.
     virtual void run(const dag::Task& task) = 0;
-    /// The stage-advance function, run by the last retiring task of a part
-    /// (or on the calling thread for a borrowed factorization, whose factor
-    /// stage is already done): resolves the future, or builds the next stage
-    /// and passes `self` to the sink.
+    /// The stage-advance function, run by the pool's part callback once the
+    /// stage's last task has run (or on the calling thread for a borrowed
+    /// factorization, whose factor stage is already done): resolves the
+    /// future, or builds the next stage and passes `self` to the sink.
     virtual void advance(const std::shared_ptr<RequestBase>& self) = 0;
     /// Fails the future and tells the sink.
     virtual void fail(const std::exception_ptr& error) = 0;
 
+    /// The graph of the current stage.
+    [[nodiscard]] const dag::TaskGraph& graph() const noexcept {
+      return stage == Stage::Factor ? plan->graph : apply_graph;
+    }
+
     std::shared_ptr<Sink> sink;
     Stage stage = Stage::Factor;
-    /// The factor stage's plan and tree; null plan = a borrowed
-    /// factorization with no factor stage to run.
+    /// The factor stage's plan; null = a borrowed factorization with no
+    /// factor stage to run.
     std::shared_ptr<const Plan> plan;
-    trees::TreeConfig tree;
     dag::TaskGraph apply_graph;
     /// Stream admission stamp (obs::now_ns): the sink turns it into an
     /// end-to-end latency sample. 0 = not admitted by a stream.
@@ -455,7 +464,6 @@ class FactorSession {
       owned = std::move(q);
       qr = &owned;
       plan = owned.plan_;
-      tree = *owned.opt_.tree;
     }
     [[nodiscard]] bool lq() const noexcept { return qr->kind() == kernels::FactorKind::LQ; }
 
@@ -535,10 +543,9 @@ class FactorSession {
   }
 
   /// The dispatch primitive: runs same-stage `parts` as ONE component on
-  /// `target` (their sink). A lone part runs its own graph with the plan's
-  /// cached ranks; parts on one plan run the cached homogeneous FusedPlan;
-  /// anything else runs the materialized union. Never throws: a graft that
-  /// cannot be built or dispatched fails its parts and retires at once.
+  /// `target` (their sink), each request its own graph as one pool part.
+  /// Never throws: a graft that cannot be dispatched fails its parts and
+  /// retires at once.
   void graft(Parts parts, Sink& target);
 
   /// The one-shot target: each graft is one pool submission capped at

@@ -114,20 +114,6 @@ void apply_accesses(DependencyTracker& deps, std::int32_t id, const Task& t) {
 
 }  // namespace
 
-std::int32_t TaskGraph::append_offset(const TaskGraph& other) {
-  const auto offset = std::int32_t(tasks.size());
-  if (offset == 0) factor = other.factor;  // adopt the first component's kind
-  tasks.reserve(tasks.size() + other.tasks.size());
-  for (const Task& t : other.tasks) {
-    tasks.push_back(t);
-    for (std::int32_t& s : tasks.back().succ) s += offset;
-  }
-  p = std::max(p, other.p);
-  q = std::max(q, other.q);
-  zero_task.clear();
-  return offset;
-}
-
 TaskGraph build_task_graph(int p, int q, const trees::EliminationList& list,
                            kernels::FactorKind factor) {
   auto valid = trees::validate_elimination_list(p, q, list);

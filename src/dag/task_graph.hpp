@@ -79,16 +79,6 @@ struct TaskGraph {
     for (const auto& t : tasks) e += t.succ.size();
     return e;
   }
-
-  /// Appends `other`'s tasks as an independent component, offsetting all
-  /// successor indices by this graph's current task count, and returns that
-  /// offset. Tile coordinates (i, piv, k, j) are copied unchanged: they are
-  /// per-component concepts, so the caller must dispatch each task to the
-  /// tile storage of the component it came from. The receiver's p/q grow to
-  /// cover the widest component and zero_task is dropped — a fused graph is
-  /// a scheduling object, not a factorization map. Topological order is
-  /// preserved (components are independent).
-  std::int32_t append_offset(const TaskGraph& other);
 };
 
 /// Builds the task graph for an elimination list; the list is validated

@@ -166,9 +166,6 @@ enum class VShape {
 enum class VLayout { Columns, Rows };
 
 namespace detail {
-template <typename T>
-using WorkVec = std::vector<T, AlignedAllocator<T>>;
-
 /// The per-thread scratch buffers of one tile kernel call. Every routine
 /// that is live at once on a thread owns a different slot, so no buffer is
 /// handed out twice: larfb inside a factor kernel's tau/work loop, inside
@@ -177,13 +174,19 @@ enum class Scratch { Larfb, Tau, Work, Adjoint0, Adjoint1, Count };
 
 /// Per-thread scratch buffer `slot`: grows to the largest request the thread
 /// has made and is reused after that, so steady-state kernels never
-/// allocate. The contents are whatever the slot's previous user left; O(nb^2)
-/// per slot, thread and scalar type.
+/// allocate. The contents are unspecified (whatever the slot's previous user
+/// left, or never written); O(nb^2) per slot, thread and scalar type. A
+/// growth frees the old block before taking the new one: nothing is copied
+/// or zero-filled, and the two blocks are never live at once.
 template <typename T>
 T* thread_scratch(Scratch slot, std::size_t n) {
-  thread_local std::array<WorkVec<T>, std::size_t(Scratch::Count)> bufs;
+  using Buffer = std::vector<T, UninitAllocator<T>>;
+  thread_local std::array<Buffer, std::size_t(Scratch::Count)> bufs;
   auto& buf = bufs[std::size_t(slot)];
-  if (buf.size() < n) buf.resize(n);
+  if (buf.size() < n) {
+    buf = Buffer();
+    buf.resize(n);
+  }
   return buf.data();
 }
 }  // namespace detail

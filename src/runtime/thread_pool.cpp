@@ -64,47 +64,65 @@ void pin_to_cpu([[maybe_unused]] int cpu) {
 }
 }  // namespace
 
-/// One DAG component of a submission. Tasks retire exactly once each —
-/// executed normally, or cancelled (skipped) once a task body of *this
-/// component* has thrown — so `remaining` always drains to zero and the
-/// component's completion fires even on failure. Sibling components are
-/// unaffected by a failure: they serve independent requests.
-///
-/// A component may be *replicated* (`copies > 1`): the scheduler runs
-/// `copies` independent instances of the base graph, with global task id
-/// = copy * stride + local (stride = base graph size). Dependencies never
-/// cross copies, graph/key lookups index by `local`, and the body receives
-/// the global id — exactly the task-id contract a materialized homogeneous
-/// fused graph had, without the count x graph memory.
+/// One DAG component of a submission: a list of parts, each a borrowed DAG
+/// whose tasks take global ids `begin + local`. Tasks retire exactly once
+/// each — executed normally, or cancelled (skipped) once a task body of
+/// *this component* has thrown — so every part's and the component's
+/// `remaining` drain to zero and every completion fires even on failure.
+/// Sibling components are unaffected by a failure: they serve independent
+/// requests.
 struct ThreadPool::Component {
-  Component(const dag::TaskGraph& g, int copies_, std::function<void(std::int32_t)> b,
-            std::function<void(std::exception_ptr)> done_cb,
-            const std::vector<long>* borrowed_keys, std::vector<long> owned,
+  /// Cache-line aligned: every task of a part decrements its `remaining`, so
+  /// packed siblings would bounce one line between workers on different parts.
+  struct alignas(64) PartState {
+    const dag::TaskGraph* graph = nullptr;
+    const long* keys = nullptr;  ///< one per task: borrowed or in keys_owned
+    std::int32_t begin = 0;      ///< global id of the part's task 0
+    std::atomic<std::int32_t> remaining{0};
+    /// A task of this part did not run (it threw, or was cancelled). Read by
+    /// the part's last retiring task after its acq_rel `remaining` decrement.
+    std::atomic<bool> cut{false};
+  };
+
+  Component(std::span<const Part> ps, PartBody b, PartDone pd,
+            std::function<void(std::exception_ptr)> done_cb, SchedulePriority priority,
             std::shared_ptr<const void> keep)
-      : graph(&g), body(std::move(b)), on_complete(std::move(done_cb)),
-        keys_owned(std::move(owned)),
-        keys(borrowed_keys ? borrowed_keys->data() : keys_owned.data()),
-        keepalive(std::move(keep)), stride(std::int32_t(g.tasks.size())), copies(copies_),
-        npred(g.tasks.size() * std::size_t(copies_)),
-        remaining(long(g.tasks.size()) * copies_) {
-    for (int c = 0; c < copies_; ++c)
-      for (std::size_t t = 0; t < g.tasks.size(); ++t)
-        npred[std::size_t(c) * g.tasks.size() + t].store(g.tasks[t].npred,
-                                                         std::memory_order_relaxed);
+      : body(std::move(b)), on_part(std::move(pd)), on_complete(std::move(done_cb)),
+        keepalive(std::move(keep)), parts(ps.size()) {
+    std::int32_t total = 0;
+    keys_owned.reserve(ps.size());
+    for (size_t i = 0; i < ps.size(); ++i) {
+      const dag::TaskGraph& g = *ps[i].graph;
+      PartState& part = parts[i];
+      part.graph = &g;
+      part.keys = ps[i].keys ? ps[i].keys->data()
+                             : keys_owned.emplace_back(make_priority_keys(g, priority)).data();
+      part.begin = total;
+      part.remaining.store(std::int32_t(g.tasks.size()), std::memory_order_relaxed);
+      total += std::int32_t(g.tasks.size());
+    }
+    npred = std::vector<std::atomic<std::int32_t>>(size_t(total));
+    for (const PartState& part : parts)
+      for (size_t t = 0; t < part.graph->tasks.size(); ++t)
+        npred[size_t(part.begin) + t].store(part.graph->tasks[t].npred, std::memory_order_relaxed);
+    remaining.store(total, std::memory_order_relaxed);
   }
 
-  const dag::TaskGraph* graph;
-  std::function<void(std::int32_t)> body;
+  /// Index of the part holding global task `task`.
+  [[nodiscard]] std::size_t part_of(std::int32_t task) const noexcept {
+    const auto it = std::partition_point(parts.begin() + 1, parts.end(),
+                                         [task](const PartState& p) { return p.begin <= task; });
+    return std::size_t(it - parts.begin()) - 1;
+  }
+
+  PartBody body;
+  PartDone on_part;
   std::function<void(std::exception_ptr)> on_complete;
-  std::vector<long> keys_owned;
-  /// One scheduling key per *base-graph* task (borrowed or keys_owned);
-  /// replicated copies share it — index with `task % stride`.
-  const long* keys;
   std::shared_ptr<const void> keepalive;
-  std::int32_t stride;  ///< tasks per copy (= base graph size)
-  int copies;
-  std::vector<std::atomic<std::int32_t>> npred;  ///< copies x stride
-  std::atomic<long> remaining;
+  std::vector<PartState> parts;
+  std::vector<std::vector<long>> keys_owned;  ///< ranks of parts passed without keys
+  std::vector<std::atomic<std::int32_t>> npred;  ///< by global task id
+  std::atomic<long> remaining{0};
   /// Owning submission. Raw: the submission outlives every queued item of
   /// its components via its self-reference (cleared only once inflight hits
   /// zero), so this pointer is valid for the component's whole queued life.
@@ -447,14 +465,15 @@ void ThreadPool::push_inbox(Worker& w, const Item* items, std::size_t n) {
 }
 
 ThreadPool::Component& ThreadPool::append_component(
-    const std::shared_ptr<Submission>& sub, const dag::TaskGraph& g,
-    std::function<void(std::int32_t)> body, std::function<void(std::exception_ptr)> on_complete,
-    SchedulePriority priority, std::shared_ptr<const void> keepalive,
-    const std::vector<long>* keys, bool check_closed, int copies) {
-  TILEDQR_CHECK(!g.tasks.empty(), "ThreadPool: empty graph handled by caller");
-  TILEDQR_CHECK(copies >= 1, "ThreadPool: copies must be >= 1");
-  TILEDQR_CHECK(!keys || keys->size() == g.tasks.size(),
-                "ThreadPool: keys must have one entry per task");
+    const std::shared_ptr<Submission>& sub, std::span<const Part> parts, PartBody body,
+    PartDone on_part, std::function<void(std::exception_ptr)> on_complete,
+    SchedulePriority priority, std::shared_ptr<const void> keepalive, bool check_closed) {
+  TILEDQR_CHECK(!parts.empty(), "ThreadPool: a component needs at least one part");
+  for (const Part& part : parts) {
+    TILEDQR_CHECK(part.graph && !part.graph->tasks.empty(), "ThreadPool: empty part");
+    TILEDQR_CHECK(!part.keys || part.keys->size() == part.graph->tasks.size(),
+                  "ThreadPool: keys must have one entry per task");
+  }
   Component* comp = nullptr;
   {
     std::lock_guard<std::mutex> lock(sub->mu);
@@ -462,9 +481,8 @@ ThreadPool::Component& ThreadPool::append_component(
       TILEDQR_CHECK(!sub->closed.load(std::memory_order_relaxed),
                     "ThreadPool::Stream::append: stream is closed");
     const long gen = sub->generation.load(std::memory_order_relaxed) + 1;
-    comp = &sub->components.emplace_back(
-        g, copies, std::move(body), std::move(on_complete), keys,
-        keys ? std::vector<long>() : make_priority_keys(g, priority), std::move(keepalive));
+    comp = &sub->components.emplace_back(parts, std::move(body), std::move(on_part),
+                                         std::move(on_complete), priority, std::move(keepalive));
     comp->gen = gen;
     comp->owner = sub.get();
     // Queue items carry no ownership, so the submission must hold itself
@@ -477,20 +495,16 @@ ThreadPool::Component& ThreadPool::append_component(
   }
   active_submissions_.fetch_add(1, std::memory_order_acq_rel);
 
-  // Initial ready set: global source ids across all copies, in descending
-  // priority (ties broken ascending by id — the same total order the old
-  // materialized fused graphs produced). The component address is stable
+  // Initial ready set: global source ids across all parts, in descending
+  // priority, ties broken ascending by id. The component address is stable
   // (deque) so racing workers on older generations are untouched.
-  const std::int32_t stride = comp->stride;
-  std::vector<std::int32_t> sources;
-  for (size_t t = 0; t < g.tasks.size(); ++t)
-    if (g.tasks[t].npred == 0)
-      for (int c = 0; c < copies; ++c)
-        sources.push_back(std::int32_t(c) * stride + std::int32_t(t));
-  std::sort(sources.begin(), sources.end(), [&](std::int32_t a, std::int32_t b) {
-    const long ka = comp->keys[size_t(a % stride)];
-    const long kb = comp->keys[size_t(b % stride)];
-    return ka != kb ? ka > kb : a < b;
+  std::vector<std::pair<long, std::int32_t>> sources;
+  for (const auto& part : comp->parts)
+    for (size_t t = 0; t < part.graph->tasks.size(); ++t)
+      if (part.graph->tasks[t].npred == 0)
+        sources.emplace_back(part.keys[t], part.begin + std::int32_t(t));
+  std::sort(sources.begin(), sources.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
 
   // One dealing rule. A stream component goes whole to one home worker, so a
@@ -509,42 +523,47 @@ ThreadPool::Component& ThreadPool::append_component(
   if (sub->stream) comp->home = int(worker_at(home_slot));
   std::vector<std::vector<Item>> dealt(set);
   for (std::size_t i = sources.size(); i-- > 0;)
-    dealt[sub->stream ? home_slot : i % set].push_back(Item{comp, sources[i]});
+    dealt[sub->stream ? home_slot : i % set].push_back(Item{comp, sources[i].second});
   for (std::size_t d = 0; d < set; ++d)
     if (!dealt[d].empty()) push_inbox(*workers_[worker_at(d)], dealt[d].data(), dealt[d].size());
   signal_work();
   return *comp;
 }
 
-std::shared_ptr<ThreadPool::Submission> ThreadPool::submit_impl(
-    const dag::TaskGraph& g, std::function<void(std::int32_t)> body,
-    std::function<void(std::exception_ptr)> on_complete, SchedulePriority priority,
-    int max_workers, std::shared_ptr<const void> keepalive, const std::vector<long>* keys,
-    int copies) {
-  auto sub = make_submission(max_workers, /*closed=*/true);
-  append_component(sub, g, std::move(body), std::move(on_complete), priority,
-                   std::move(keepalive), keys, /*check_closed=*/false, copies);
-  return sub;
+namespace {
+/// The single-graph body as a part body (its one part is part 0).
+ThreadPool::PartBody single_part_body(std::function<void(std::int32_t)> body) {
+  return [body = std::move(body)](std::int32_t, std::int32_t task) { body(task); };
 }
+}  // namespace
 
 void ThreadPool::submit(const dag::TaskGraph& g, std::function<void(std::int32_t)> body,
                         std::function<void(std::exception_ptr)> on_complete,
                         SchedulePriority priority, int max_workers,
-                        std::shared_ptr<const void> keepalive, const std::vector<long>* keys,
-                        int copies) {
+                        std::shared_ptr<const void> keepalive, const std::vector<long>* keys) {
   if (g.tasks.empty()) {
     if (on_complete) on_complete(nullptr);
     return;
   }
-  submit_impl(g, std::move(body), std::move(on_complete), priority, max_workers,
-              std::move(keepalive), keys, copies);
+  const Part part{&g, keys};
+  append_component(make_submission(max_workers, /*closed=*/true), {&part, 1},
+                   single_part_body(std::move(body)), nullptr, std::move(on_complete), priority,
+                   std::move(keepalive), /*check_closed=*/false);
+}
+
+void ThreadPool::submit(std::span<const Part> parts, PartBody body, PartDone on_part,
+                        std::function<void(std::exception_ptr)> on_complete, int max_workers,
+                        std::shared_ptr<const void> keepalive) {
+  append_component(make_submission(max_workers, /*closed=*/true), parts, std::move(body),
+                   std::move(on_part), std::move(on_complete), SchedulePriority::CriticalPath,
+                   std::move(keepalive), /*check_closed=*/false);
 }
 
 std::future<void> ThreadPool::submit(const dag::TaskGraph& g,
                                      std::function<void(std::int32_t)> body,
                                      SchedulePriority priority, int max_workers,
                                      std::shared_ptr<const void> keepalive,
-                                     const std::vector<long>* keys, int copies) {
+                                     const std::vector<long>* keys) {
   auto promise = std::make_shared<std::promise<void>>();
   std::future<void> future = promise->get_future();
   submit(
@@ -555,7 +574,7 @@ std::future<void> ThreadPool::submit(const dag::TaskGraph& g,
         else
           promise->set_value();
       },
-      priority, max_workers, std::move(keepalive), keys, copies);
+      priority, max_workers, std::move(keepalive), keys);
   return future;
 }
 
@@ -565,9 +584,11 @@ void ThreadPool::run(const dag::TaskGraph& g, const std::function<void(std::int3
   if (tl_pool == this) {
     // Re-entrant call from a task body: the calling worker helps execute
     // until this submission retires (blocking would deadlock the pool).
-    auto sub = submit_impl(g, body, nullptr, priority, max_workers, nullptr, keys, 1);
+    auto sub = make_submission(max_workers, /*closed=*/true);
+    const Part part{&g, keys};
+    Component& comp = append_component(sub, {&part, 1}, single_part_body(body), nullptr,
+                                       nullptr, priority, nullptr, /*check_closed=*/false);
     help_until(tl_worker, [&] { return sub->done.load(std::memory_order_acquire); });
-    Component& comp = sub->components.front();
     std::lock_guard<std::mutex> lock(comp.err_mu);
     if (comp.error) std::rethrow_exception(comp.error);
     return;
@@ -585,7 +606,7 @@ void ThreadPool::run(const dag::TaskGraph& g, const std::function<void(std::int3
         else
           promise.set_value();
       },
-      priority, max_workers, nullptr, keys, 1);
+      priority, max_workers, nullptr, keys);
   future.get();
 }
 
@@ -605,15 +626,25 @@ ThreadPool::Stream ThreadPool::open_stream(int max_workers) {
 void ThreadPool::Stream::append(const dag::TaskGraph& g, std::function<void(std::int32_t)> body,
                                 std::function<void(std::exception_ptr)> on_complete,
                                 std::shared_ptr<const void> keepalive,
-                                const std::vector<long>* keys, int copies) {
+                                const std::vector<long>* keys) {
   TILEDQR_CHECK(valid(), "ThreadPool::Stream::append: empty stream handle");
   if (g.tasks.empty()) {
     if (on_complete) on_complete(nullptr);
     return;
   }
-  pool_->append_component(sub_, g, std::move(body), std::move(on_complete),
-                          SchedulePriority::CriticalPath, std::move(keepalive), keys,
-                          /*check_closed=*/true, copies);
+  const Part part{&g, keys};
+  pool_->append_component(sub_, {&part, 1}, single_part_body(std::move(body)), nullptr,
+                          std::move(on_complete), SchedulePriority::CriticalPath,
+                          std::move(keepalive), /*check_closed=*/true);
+}
+
+void ThreadPool::Stream::append(std::span<const Part> parts, PartBody body, PartDone on_part,
+                                std::function<void(std::exception_ptr)> on_complete,
+                                std::shared_ptr<const void> keepalive) {
+  TILEDQR_CHECK(valid(), "ThreadPool::Stream::append: empty stream handle");
+  pool_->append_component(sub_, parts, std::move(body), std::move(on_part),
+                          std::move(on_complete), SchedulePriority::CriticalPath,
+                          std::move(keepalive), /*check_closed=*/true);
 }
 
 void ThreadPool::Stream::close() {
@@ -838,12 +869,12 @@ bool ThreadPool::try_run_one(int wid) {
 
 void ThreadPool::run_item(int wid, Item item, bool stolen) {
   Component& comp = *item.comp;
-  // Replication: global id = copy * stride + local; graph/key lookups use
-  // the local index, dependency bookkeeping the global one.
-  const std::int32_t stride = comp.stride;
-  const std::int32_t local = item.task % stride;
-  const std::int32_t copy_base = item.task - local;
+  const std::size_t part_index = comp.part_of(item.task);
+  Component::PartState& part = comp.parts[part_index];
+  const std::int32_t local = item.task - part.begin;
+  const dag::Task& task = part.graph->tasks[size_t(local)];
   Worker& self = *workers_[size_t(wid)];
+  bool ran = false;
   if (!comp.failed.load(std::memory_order_acquire)) {
     // Observability hook: one relaxed load of the combined flag word is the
     // entire cost of the disabled path — tracing and the health layer share
@@ -854,13 +885,13 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
     const unsigned obs_flags = obs::task_observation_flags().load(std::memory_order_relaxed);
     const std::int64_t t0 = obs_flags != 0 ? obs::now_ns() : 0;
     if (obs_flags & obs::kObsTaskHealth) {
-      const dag::Task& t = comp.graph->tasks[size_t(local)];
       self.running_task.store(item.task, std::memory_order_relaxed);
-      self.running_kind.store(std::uint8_t(t.kind), std::memory_order_relaxed);
+      self.running_kind.store(std::uint8_t(task.kind), std::memory_order_relaxed);
       self.running_since.store(t0, std::memory_order_release);
     }
     try {
-      comp.body(item.task);
+      comp.body(std::int32_t(part_index), local);
+      ran = true;
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
       // Locality attribution (executed bodies only — cancelled tasks carry
       // no cache traffic): on-home for a stream component means "ran on the
@@ -878,10 +909,9 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
     if (obs_flags != 0) {
       const std::int64_t t1 = obs::now_ns();
       if (obs_flags & obs::kObsTaskTrace) {
-        const dag::Task& t = comp.graph->tasks[size_t(local)];
-        g_tracer.record(t0, t1, std::uint8_t(t.kind), t.i, t.piv, t.k, t.j, item.task,
-                        comp.owner->id, std::int32_t(comp.gen), stolen);
-        g_kernel_profiler.record(std::uint8_t(t.kind), t1 - t0);
+        g_tracer.record(t0, t1, std::uint8_t(task.kind), task.i, task.piv, task.k, task.j,
+                        item.task, comp.owner->id, std::int32_t(comp.gen), stolen);
+        g_kernel_profiler.record(std::uint8_t(task.kind), t1 - t0);
       }
       if (obs_flags & obs::kObsTaskHealth) {
         self.running_since.store(0, std::memory_order_relaxed);
@@ -889,23 +919,34 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
       }
     }
   }
+  if (!ran) part.cut.store(true, std::memory_order_relaxed);
   // Propagate readiness even for cancelled tasks so the component drains and
-  // completion still fires after a failure. Successors stay within the same
-  // copy: global successor = copy_base + local successor.
+  // completion still fires after a failure. Successors stay within the part.
   std::vector<std::int32_t> ready;
-  for (std::int32_t s : comp.graph->tasks[size_t(local)].succ)
-    if (comp.npred[size_t(copy_base + s)].fetch_sub(1, std::memory_order_acq_rel) == 1)
-      ready.push_back(copy_base + s);
+  for (std::int32_t s : task.succ)
+    if (comp.npred[size_t(part.begin + s)].fetch_sub(1, std::memory_order_acq_rel) == 1)
+      ready.push_back(part.begin + s);
   if (!ready.empty()) {
     std::sort(ready.begin(), ready.end(), [&](std::int32_t a, std::int32_t b) {
-      const long ka = comp.keys[size_t(a % stride)];
-      const long kb = comp.keys[size_t(b % stride)];
+      const long ka = part.keys[size_t(a - part.begin)];
+      const long kb = part.keys[size_t(b - part.begin)];
       return ka != kb ? ka < kb : a > b;
     });
     // Ascending priority pushed to the own lane -> LIFO pop takes the most
     // urgent first, the same order the old mutexed deque preserved.
     for (std::int32_t s : ready) push_local(self, Item{item.comp, s});
     signal_work();
+  }
+  // Part retired: its callback runs after the part's last task was traced,
+  // and before the component retires. The acq_rel decrement makes every
+  // task's tile writes (and `cut` marks) of the part visible to it.
+  if (part.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 && comp.on_part) {
+    std::exception_ptr error;
+    if (part.cut.load(std::memory_order_relaxed)) {
+      std::lock_guard<std::mutex> lock(comp.err_mu);
+      error = comp.error;
+    }
+    comp.on_part(std::int32_t(part_index), error);
   }
   if (comp.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Component retired. Fire its completion *before* decrementing inflight:
@@ -930,9 +971,11 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
     // that cycle (and frees graphs/requests promptly). No task of this
     // component can run again, so nothing else reads these fields.
     comp.body = nullptr;
+    comp.on_part = nullptr;
     comp.on_complete = nullptr;
     comp.keepalive.reset();
-    comp.keys_owned = std::vector<long>();
+    comp.parts = std::vector<Component::PartState>();
+    comp.keys_owned = std::vector<std::vector<long>>();
     comp.npred = std::vector<std::atomic<std::int32_t>>();
     Submission& sub = *comp.owner;
     comp.retired.store(true, std::memory_order_release);  // last touch of comp

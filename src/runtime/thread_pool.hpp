@@ -39,11 +39,14 @@
 // component records the generation it was born in, and the component list is
 // append-only with stable addresses, so workers racing on items of an older
 // generation never observe a ready set being rebuilt under them. A component
-// may be *replicated* (`copies`): the same base graph scheduled copies times
-// with task ids offset by the graph size — how a homogeneous fused batch is
-// scheduled without ever materializing count x base-plan bytes. Completion
-// is per component (its own sentinel counter and callback); the submission
-// itself retires when it is closed and every generation has drained.
+// is a list of *parts*, each a borrowed DAG with its own scheduling keys:
+// a batch of N independent factorizations is one component of N parts, which
+// may all point at one cached plan graph — nothing is concatenated or
+// copied. Task ids are global within the component (part offset + local);
+// the body receives (part, local). Completion is per part (a callback once
+// the part's last task has run and been traced) and per component; the
+// submission itself retires when it is closed and every generation has
+// drained.
 //
 // Fairness (serving QoS): several live streams share the pool, and with one
 // LIFO deque per worker a chatty client's continuous grafts would keep
@@ -67,6 +70,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,26 +133,37 @@ class ThreadPool {
   /// Number of worker threads.
   [[nodiscard]] int size() const noexcept { return int(workers_.size()); }
 
+  /// One DAG of a component: `graph` and, when non-null, `keys` —
+  /// precomputed scheduling keys, one per task of `graph`, higher runs first
+  /// (cached plans pass their ranks to skip the per-submission rank sweep).
+  /// Null keys are ranked by the pool. Both are borrowed until the
+  /// component's on_complete has run.
+  struct Part {
+    const dag::TaskGraph* graph = nullptr;
+    const std::vector<long>* keys = nullptr;
+  };
+  /// Runs task `task` (an index into the part's graph) of part `part`.
+  using PartBody = std::function<void(std::int32_t part, std::int32_t task)>;
+  /// Runs exactly once per part, on the worker that retires the part's last
+  /// task: after that task has run and been traced, with `error` null when
+  /// every task of the part ran; or, when a task failure cancelled the
+  /// component before the part finished, with the component's first error.
+  /// Runs before the component's on_complete. Must not throw.
+  using PartDone = std::function<void(std::int32_t part, std::exception_ptr error)>;
+
   /// Asynchronous DAG submission. `on_complete` runs on the worker that
   /// retires the last task, with the first task exception (or nullptr on
   /// success). `g` and everything `body` touches must stay alive until then;
   /// `keepalive` is held by the submission for exactly that purpose and
   /// released after `on_complete` returns. `max_workers <= 0` means all
   /// workers; otherwise the submission is confined to that many workers.
-  /// `keys`, when non-null, supplies precomputed scheduling keys (one per
-  /// task of `g`, higher runs first) borrowed for the submission's lifetime —
-  /// the same contract as `g` — and the priority rule is not consulted;
-  /// cached plans pass their rank vector here to skip the per-submission
-  /// rank sweep. `copies > 1` schedules `copies` independent replicas of `g`
-  /// as ONE component: the body receives global indices
-  /// `copy * g.tasks.size() + local`, dependencies and keys replicate per
-  /// copy, and a task failure cancels the whole replicated component — the
-  /// scheduling contract of a homogeneous fused batch, at O(1) extra memory.
+  /// `keys` is the Part::keys contract for `g`; when null, `priority` ranks
+  /// the tasks.
   void submit(const dag::TaskGraph& g, std::function<void(std::int32_t)> body,
               std::function<void(std::exception_ptr)> on_complete,
               SchedulePriority priority = SchedulePriority::CriticalPath, int max_workers = 0,
               std::shared_ptr<const void> keepalive = nullptr,
-              const std::vector<long>* keys = nullptr, int copies = 1);
+              const std::vector<long>* keys = nullptr);
 
   /// Future-returning flavor of submit().
   [[nodiscard]] std::future<void> submit(const dag::TaskGraph& g,
@@ -156,7 +171,17 @@ class ThreadPool {
                                          SchedulePriority priority = SchedulePriority::CriticalPath,
                                          int max_workers = 0,
                                          std::shared_ptr<const void> keepalive = nullptr,
-                                         const std::vector<long>* keys = nullptr, int copies = 1);
+                                         const std::vector<long>* keys = nullptr);
+
+  /// Submits `parts` (each non-empty) as ONE component: one deal of the
+  /// initial ready set, one wake, one completion. Dependencies never cross
+  /// parts; a task failure cancels the whole component, so `on_part` reports
+  /// success for the parts that had finished and the error for the rest.
+  /// Trace events carry global task ids (part offset + local). Same
+  /// lifetime and worker-cap contract as the single-graph submit().
+  void submit(std::span<const Part> parts, PartBody body, PartDone on_part,
+              std::function<void(std::exception_ptr)> on_complete, int max_workers = 0,
+              std::shared_ptr<const void> keepalive = nullptr);
 
   /// Blocking convenience: submit and wait; rethrows the first task
   /// exception. Safe to call from inside a task body running on this pool —
@@ -184,14 +209,19 @@ class ThreadPool {
 
     /// Grafts `g` onto the live submission as a new component of the next
     /// generation and wakes workers; same argument contract as
-    /// ThreadPool::submit (including `copies` replication). Throws Error if
-    /// the stream is closed or empty. Appending from a task body or
-    /// completion callback running on the pool is safe (the tail of a solve
-    /// pipeline chains its next stage this way).
+    /// ThreadPool::submit. Throws Error if the stream is closed or empty.
+    /// Appending from a task body or completion callback running on the
+    /// pool is safe (the tail of a solve pipeline chains its next stage this
+    /// way).
     void append(const dag::TaskGraph& g, std::function<void(std::int32_t)> body,
                 std::function<void(std::exception_ptr)> on_complete = nullptr,
                 std::shared_ptr<const void> keepalive = nullptr,
-                const std::vector<long>* keys = nullptr, int copies = 1);
+                const std::vector<long>* keys = nullptr);
+
+    /// Grafts `parts` as one component (the multi-part submit() contract).
+    void append(std::span<const Part> parts, PartBody body, PartDone on_part,
+                std::function<void(std::exception_ptr)> on_complete = nullptr,
+                std::shared_ptr<const void> keepalive = nullptr);
 
     /// No further appends; idempotent. Does not block — pair with wait().
     void close();
@@ -264,18 +294,11 @@ class ThreadPool {
 
   std::shared_ptr<Submission> make_submission(int max_workers, bool closed);
   /// Appends one component (generation = current + 1) and deals its sources.
-  Component& append_component(const std::shared_ptr<Submission>& sub, const dag::TaskGraph& g,
-                              std::function<void(std::int32_t)> body,
+  Component& append_component(const std::shared_ptr<Submission>& sub,
+                              std::span<const Part> parts, PartBody body, PartDone on_part,
                               std::function<void(std::exception_ptr)> on_complete,
                               SchedulePriority priority,
-                              std::shared_ptr<const void> keepalive,
-                              const std::vector<long>* keys, bool check_closed, int copies);
-  std::shared_ptr<Submission> submit_impl(const dag::TaskGraph& g,
-                                          std::function<void(std::int32_t)> body,
-                                          std::function<void(std::exception_ptr)> on_complete,
-                                          SchedulePriority priority, int max_workers,
-                                          std::shared_ptr<const void> keepalive,
-                                          const std::vector<long>* keys, int copies);
+                              std::shared_ptr<const void> keepalive, bool check_closed);
   void finalize_if_drained(Submission& sub);
   void wait_stream(const std::shared_ptr<Submission>& sub, long up_to_generation);
   /// The one park-and-help loop (worker `wid`; -1 = outside thread, parks only).

@@ -1,8 +1,8 @@
-// Tests for multi-matrix DAG fusion: TaskGraph::append_offset / FusedPlan
-// structure, cached scheduling ranks, the fused factorize_batch path
-// (bitwise identity against the sequential per-matrix execute replay +
+// Tests for multi-matrix batches run as one pool component (one part per
+// matrix): cached scheduling ranks, the fused factorize_batch path (bitwise
+// identity against the sequential per-matrix execute replay +
 // paper-tolerance residuals over a (p, q, nb, tree, threads, batch) grid),
-// heterogeneous batches, fused-plan caching, and error handling.
+// heterogeneous batches, plan sharing, and error handling.
 //
 // TILEDQR_STRESS=1 (the ctest `stress` label) widens the grid; the default
 // run stays tier-1 quick.
@@ -102,57 +102,6 @@ std::vector<SweepCase> sweep_cases() {
 
 // ------------------------------------------------------ dag-level fusion --
 
-TEST(TaskGraphFusion, AppendOffsetBuildsDisjointUnion) {
-  auto g1 = dag::build_task_graph(4, 2, trees::greedy_tree(4, 2));
-  auto g2 = dag::build_task_graph(3, 3, trees::greedy_tree(3, 3));
-  dag::TaskGraph fused;
-  auto off1 = fused.append_offset(g1);
-  auto off2 = fused.append_offset(g2);
-  EXPECT_EQ(off1, 0);
-  EXPECT_EQ(off2, std::int32_t(g1.tasks.size()));
-  ASSERT_EQ(fused.tasks.size(), g1.tasks.size() + g2.tasks.size());
-  EXPECT_EQ(fused.edge_count(), g1.edge_count() + g2.edge_count());
-  EXPECT_EQ(fused.total_weight(), g1.total_weight() + g2.total_weight());
-  // Component tasks are verbatim copies with successor indices shifted into
-  // their own range; npred is untouched.
-  for (size_t t = 0; t < g1.tasks.size(); ++t) {
-    EXPECT_EQ(fused.tasks[t].npred, g1.tasks[t].npred);
-    for (size_t s = 0; s < g1.tasks[t].succ.size(); ++s)
-      EXPECT_EQ(fused.tasks[t].succ[s], g1.tasks[t].succ[s]);
-  }
-  for (size_t t = 0; t < g2.tasks.size(); ++t) {
-    const auto& ft = fused.tasks[size_t(off2) + t];
-    EXPECT_EQ(ft.npred, g2.tasks[t].npred);
-    ASSERT_EQ(ft.succ.size(), g2.tasks[t].succ.size());
-    for (size_t s = 0; s < g2.tasks[t].succ.size(); ++s) {
-      EXPECT_EQ(ft.succ[s], g2.tasks[t].succ[s] + off2);
-      EXPECT_GE(ft.succ[s], off2);  // no cross-component edges
-    }
-  }
-}
-
-TEST(TaskGraphFusion, FusedRanksEqualConcatenatedPlanRanks) {
-  // Downward ranks never cross independent components, so the fused graph's
-  // rank vector must equal the concatenation of the per-plan cached ranks.
-  const TreeConfig greedy{TreeKind::Greedy, KernelFamily::TT, 1, 0};
-  const TreeConfig flat{TreeKind::FlatTree, KernelFamily::TS, 1, 0};
-  auto p1 = std::make_shared<const core::Plan>(core::make_plan(5, 2, greedy));
-  auto p2 = std::make_shared<const core::Plan>(core::make_plan(3, 3, flat));
-  std::vector<std::shared_ptr<const core::Plan>> plans = {p1, p2, p1};
-  auto fused = core::make_fused_plan(plans);
-  ASSERT_EQ(fused.parts.size(), 3u);
-  EXPECT_EQ(fused.parts[0].begin, 0);
-  EXPECT_EQ(fused.parts[2].end, std::int32_t(fused.graph.tasks.size()));
-  auto recomputed = runtime::downward_ranks(fused.graph);
-  ASSERT_EQ(fused.ranks.size(), recomputed.size());
-  for (size_t t = 0; t < recomputed.size(); ++t) EXPECT_EQ(fused.ranks[t], recomputed[t]);
-  // part_of maps every boundary correctly.
-  for (size_t i = 0; i < fused.parts.size(); ++i) {
-    EXPECT_EQ(fused.part_of(fused.parts[i].begin), int(i));
-    EXPECT_EQ(fused.part_of(fused.parts[i].end - 1), int(i));
-  }
-}
-
 TEST(TaskGraphFusion, PlanRanksMatchExecutorRanks) {
   // The cached ranks in a Plan are exactly what the executor would compute.
   auto plan = core::make_plan(6, 3, TreeConfig{});
@@ -217,13 +166,11 @@ TEST(BatchFusion, HeterogeneousShapesFuseAdHoc) {
   for (size_t i = 0; i < results.size(); ++i)
     expect_bitwise(results[i].factors().to_dense(), replay_sequential(inputs[i], opt),
                    "heterogeneous matrix " + std::to_string(i));
-  // Mixed shapes fuse ad hoc: no fused cache entry is created.
   auto stats = session.plan_cache_stats();
-  EXPECT_EQ(stats.fused_entries, 0u);
   EXPECT_EQ(stats.entries, 3u);  // three distinct base shapes
 }
 
-TEST(BatchFusion, HomogeneousBatchCachesTheFusedPlan) {
+TEST(BatchFusion, HomogeneousBatchSharesOnePlan) {
   QrSession session(QrSession::Config{2});
   Options opt;
   opt.tree = TreeConfig{};  // pin Greedy: a disengaged tree would autotune
@@ -235,20 +182,19 @@ TEST(BatchFusion, HomogeneousBatchCachesTheFusedPlan) {
   std::vector<ConstMatrixView<double>> views;
   for (auto& a : inputs) views.push_back(ConstMatrixView<double>(a.view()));
 
+  // Every part of the batch points at the one cached plan.
   (void)session.factorize_batch(views, opt);
   auto stats1 = session.plan_cache_stats();
-  EXPECT_EQ(stats1.fused_misses, 1);
-  EXPECT_EQ(stats1.fused_hits, 0);
-  EXPECT_EQ(stats1.fused_entries, 1u);
-  EXPECT_EQ(stats1.entries, 1u);  // base-plan accounting untouched by fusion
+  EXPECT_EQ(stats1.entries, 1u);
   EXPECT_EQ(stats1.misses, 1);
+  EXPECT_EQ(stats1.hits, kBatch - 1);
   EXPECT_GT(stats1.bytes, 0u);
 
   (void)session.factorize_batch(views, opt);
   auto stats2 = session.plan_cache_stats();
-  EXPECT_EQ(stats2.fused_misses, 1);
-  EXPECT_EQ(stats2.fused_hits, 1);
-  EXPECT_EQ(stats2.fused_entries, 1u);
+  EXPECT_EQ(stats2.entries, 1u);
+  EXPECT_EQ(stats2.misses, 1);
+  EXPECT_EQ(stats2.bytes, stats1.bytes);
 }
 
 TEST(BatchFusion, FuturesResolveIndependently) {
@@ -312,9 +258,6 @@ TEST(BatchFusion, BatchOfOneSkipsFusion) {
   auto results = session.factorize_batch(views, opt);
   ASSERT_EQ(results.size(), 1u);
   expect_bitwise(results[0].factors().to_dense(), replay_sequential(a, opt), "batch of one");
-  auto stats = session.plan_cache_stats();
-  EXPECT_EQ(stats.fused_entries, 0u);  // no single-part fusion cached
-  EXPECT_EQ(stats.fused_misses, 0);
 }
 
 }  // namespace

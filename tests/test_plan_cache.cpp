@@ -146,47 +146,6 @@ TEST(PlanCache, EvictionKeepsTheNewestEntryEvenWhenOverBudget) {
   EXPECT_EQ(a->graph.p, 8);
 }
 
-TEST(PlanCache, FusedPlansAreCachedAndBudgeted) {
-  PlanCache cache;
-  TreeConfig greedy{};
-  auto fused = cache.get_fused(5, 2, greedy, 4);
-  ASSERT_TRUE(fused->homogeneous());  // thin descriptor, no materialized graph
-  ASSERT_EQ(fused->part_count(), 4);
-  auto base = cache.get(5, 2, greedy);
-  EXPECT_EQ(fused->base.get(), base.get());  // shares the cached base plan
-  EXPECT_EQ(fused->total_tasks(), std::int64_t(4 * base->graph.tasks.size()));
-  EXPECT_EQ(fused->component_graph().tasks.size(), base->graph.tasks.size());
-  EXPECT_EQ(fused->component_ranks().size(), base->graph.tasks.size());
-  EXPECT_EQ(fused->copies(), 4);
-  // Global-index arithmetic: part boundaries and per-part task lookup.
-  const auto stride = std::int32_t(base->graph.tasks.size());
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(fused->part_size(i), stride);
-    EXPECT_EQ(fused->part_of(i * stride), i);
-    EXPECT_EQ(fused->part_of((i + 1) * stride - 1), i);
-    EXPECT_EQ(&fused->task(i * stride), &base->graph.tasks.front());
-  }
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.fused_misses, 1);
-  EXPECT_EQ(stats.fused_entries, 1u);
-  EXPECT_EQ(stats.entries, 1u);  // the base plan it was built from
-  auto again = cache.get_fused(5, 2, greedy, 4);
-  EXPECT_EQ(again.get(), fused.get());
-  EXPECT_EQ(cache.stats().fused_hits, 1);
-  // A different count is a different fused entry.
-  (void)cache.get_fused(5, 2, greedy, 7);
-  EXPECT_EQ(cache.stats().fused_entries, 2u);
-  // Budgeting covers fused entries too.
-  cache.set_byte_budget(1);
-  EXPECT_LE(cache.stats().fused_entries + cache.stats().entries, 1u);
-  cache.clear();
-  auto cleared = cache.stats();
-  EXPECT_EQ(cleared.fused_hits, 0);
-  EXPECT_EQ(cleared.fused_misses, 0);
-  EXPECT_EQ(cleared.bytes, 0u);
-  EXPECT_EQ(cleared.evictions, 0);
-}
-
 TEST(PlanCache, UnboundedByDefault) {
   PlanCache cache;
   EXPECT_EQ(cache.byte_budget(), 0u);

@@ -26,6 +26,8 @@
 #include "core/qr_session.hpp"
 #include "core/tiled_qr.hpp"
 #include "matrix/generate.hpp"
+#include "obs/trace.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/thread_pool.hpp"
 #include "trees/generators.hpp"
 
@@ -189,6 +191,145 @@ TEST(ThreadPool, ExceptionPropagatesThroughEveryPath) {
   EXPECT_EQ(count.load(), long(g.tasks.size()));
 }
 
+/// Per-part task-run counters of a multi-part component.
+struct PartRuns {
+  explicit PartRuns(std::span<const ThreadPool::Part> parts) {
+    for (const auto& part : parts) {
+      begin.push_back(total);
+      size.push_back(std::int32_t(part.graph->tasks.size()));
+      total += size.back();
+    }
+    runs = std::vector<std::atomic<int>>(size_t(total));
+  }
+  void ran(std::int32_t part, std::int32_t task) {
+    runs[size_t(begin[size_t(part)] + task)].fetch_add(1);
+  }
+  /// Tasks of `part` whose body ran (once or more).
+  [[nodiscard]] std::int32_t ran_in(std::int32_t part) const {
+    std::int32_t n = 0;
+    for (std::int32_t t = 0; t < size[size_t(part)]; ++t)
+      n += runs[size_t(begin[size_t(part)] + t)].load() > 0;
+    return n;
+  }
+  std::vector<std::int32_t> begin, size;
+  std::int32_t total = 0;
+  std::vector<std::atomic<int>> runs;
+};
+
+TEST(ThreadPool, MixedPartComponentRunsEachTaskOnceAndCallsPartsBackAfterTheirTrace) {
+  // One component of three parts: two different graphs, one part with
+  // precomputed keys and one ranked by the pool, and the same graph twice.
+  auto& tracer = obs::Tracer::instance();
+  const auto g1 = qr_graph(6, 3);
+  const auto g2 = fanout_graph(9);
+  const auto keys1 = runtime::downward_ranks(g1);
+  const std::vector<ThreadPool::Part> parts = {{&g1, &keys1}, {&g2, nullptr}, {&g1, nullptr}};
+  ThreadPool pool(4);
+  for (int round = 0; round < 10; ++round) {
+    tracer.disable();
+    tracer.clear();
+    tracer.enable();
+    PartRuns runs(parts);
+    std::array<std::atomic<int>, 3> callbacks{};
+    std::array<long, 3> traced_at_callback{};
+    std::array<std::int32_t, 3> ran_at_callback{};
+    std::array<bool, 3> failed{};
+    std::atomic<bool> parts_done_before_complete{false};
+    std::promise<void> done;
+    pool.submit(
+        parts, [&](std::int32_t part, std::int32_t task) { runs.ran(part, task); },
+        [&](std::int32_t part, std::exception_ptr error) {
+          // Events of this part: global ids part offset + local.
+          const std::int32_t lo = runs.begin[size_t(part)];
+          const std::int32_t hi = lo + runs.size[size_t(part)];
+          long traced = 0;
+          for (const auto& track : tracer.collect())
+            for (const auto& e : track.events) traced += e.task >= lo && e.task < hi;
+          traced_at_callback[size_t(part)] = traced;
+          ran_at_callback[size_t(part)] = runs.ran_in(part);
+          failed[size_t(part)] = error != nullptr;
+          callbacks[size_t(part)].fetch_add(1);
+        },
+        [&](std::exception_ptr error) {
+          bool all = true;
+          for (const auto& c : callbacks) all = all && c.load() == 1;
+          parts_done_before_complete = all && !error;
+          done.set_value();
+        });
+    done.get_future().get();
+    tracer.disable();
+    EXPECT_TRUE(parts_done_before_complete) << "round " << round;
+    for (std::int32_t t = 0; t < runs.total; ++t)
+      ASSERT_EQ(runs.runs[size_t(t)].load(), 1) << "task " << t << " round " << round;
+    for (size_t p = 0; p < parts.size(); ++p) {
+      EXPECT_EQ(callbacks[p].load(), 1) << "part " << p;
+      EXPECT_FALSE(failed[p]) << "part " << p;
+      EXPECT_EQ(ran_at_callback[p], runs.size[p]) << "part " << p;
+      EXPECT_EQ(traced_at_callback[p], long(runs.size[p])) << "part " << p << " round " << round;
+    }
+  }
+  tracer.clear();
+}
+
+TEST(ThreadPool, TaskFailureFailsExactlyTheUnfinishedParts) {
+  const auto g = qr_graph(4, 2);
+  auto keys_above = [&](long base) {
+    auto k = runtime::downward_ranks(g);
+    for (long& v : k) v += base;
+    return k;
+  };
+  const auto high = keys_above(1'000'000), mid = keys_above(1'000), low = keys_above(0);
+  const std::vector<ThreadPool::Part> parts = {{&g, &high}, {&g, &mid}, {&g, &low}};
+  // One worker and disjoint key bands make the order certain: part 0 runs
+  // to completion, then part 1's first task throws and the rest of the
+  // component is cancelled. Four workers race: whichever parts finished
+  // before the failure keep their success.
+  for (int workers : {1, 4}) {
+    ThreadPool pool(workers);
+    for (int round = 0; round < (workers == 1 ? 1 : 20); ++round) {
+      PartRuns runs(parts);
+      std::array<std::atomic<int>, 3> callbacks{};
+      std::array<std::exception_ptr, 3> errors{};
+      std::array<std::int32_t, 3> ran_at_callback{};
+      std::promise<void> done;
+      std::exception_ptr component_error;
+      pool.submit(
+          parts,
+          [&](std::int32_t part, std::int32_t task) {
+            runs.ran(part, task);
+            if (part == 1 && task == std::int32_t(g.tasks.size() / 2)) throw Error("injected part failure");
+          },
+          [&](std::int32_t part, std::exception_ptr error) {
+            errors[size_t(part)] = error;
+            ran_at_callback[size_t(part)] = runs.ran_in(part);
+            callbacks[size_t(part)].fetch_add(1);
+          },
+          [&](std::exception_ptr error) {
+            component_error = error;
+            done.set_value();
+          });
+      done.get_future().get();
+      ASSERT_TRUE(component_error);
+      EXPECT_THROW(std::rethrow_exception(component_error), Error);
+      for (size_t p = 0; p < parts.size(); ++p) {
+        EXPECT_EQ(callbacks[p].load(), 1) << "part " << p;
+        // A part succeeds exactly when every one of its tasks ran and none threw.
+        const bool finished = p != 1 && ran_at_callback[p] == runs.size[p];
+        EXPECT_EQ(errors[p] == nullptr, finished) << "part " << p << " workers " << workers;
+        if (errors[p]) {
+          EXPECT_EQ(errors[p], component_error) << "part " << p;
+        }
+      }
+      if (workers == 1) {
+        EXPECT_FALSE(errors[0]);
+        EXPECT_EQ(runs.ran_in(0), runs.size[0]);
+        EXPECT_TRUE(errors[1] && errors[2]);
+        EXPECT_EQ(runs.ran_in(2), 0);
+      }
+    }
+  }
+}
+
 TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossThreadCounts) {
   // The satellite stress test: the same matrix factored on 1/2/8 workers
   // (sequential, pool-capped, pool-wide) must give bit-for-bit equal tiles.
@@ -219,7 +360,7 @@ TEST(ThreadPool, FactorizationBitwiseIdenticalAcrossSchedulingModes) {
   // Determinism across the locality knob: the same batch factored with and
   // without TILEDQR_PIN — read at pool construction, so each setting gets a
   // fresh session — must be bitwise equal to the sequential replay. The batch is homogeneous, so this also
-  // drives the replicated-component (copies > 1) scheduling path.
+  // drives a multi-part component whose parts share one plan graph.
   core::Options opt;
   opt.tree = trees::TreeConfig{};  // pin Greedy: a disengaged tree would autotune
   opt.nb = 32;
