@@ -2,7 +2,7 @@
 // roofline prediction gamma_seq * T / max(T/P, cp) and the bounded-processor
 // list-scheduling simulation (which accounts for packing losses the roofline
 // ignores). A second simulated column weights the DAG with this machine's
-// measured kernel seconds (the tuner's stage-1 model) instead of Table-1
+// measured kernel seconds (as the tuner's model can) instead of Table-1
 // units.
 #include "bench_common.hpp"
 #include "core/experiment.hpp"

@@ -1,8 +1,8 @@
 // Autotuner benchmark: the tuner's auto-selected tree vs every fixed tree
 // across a (p, q) tile-grid sweep, measured on the real pool.
 //
-// For each shape the tuner makes its stage-1 (model) decision for the
-// session's worker count, then every fixed candidate — FlatTree TT/TS,
+// For each shape the tuner makes its model decision for the session's
+// worker count, then every fixed candidate — FlatTree TT/TS,
 // BinaryTree, Fibonacci, Greedy, PlasmaTree TS/TT (paper BS sweep) — is
 // factorized best-of-reps on a persistent ThreadPool. The auto row reuses
 // the measurement of whichever candidate the tuner chose, so the comparison
@@ -35,10 +35,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/plan.hpp"
+#include "common/timer.hpp"
+#include "core/tiled_qr.hpp"
+#include "matrix/generate.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tuner/tuner.hpp"
 
@@ -60,6 +63,42 @@ struct ShapeResult {
   bool auto_is_best = false;
 };
 
+/// The deterministic p x q-tile timing matrix (fixed seed, so every tree of
+/// a shape factorizes identical data).
+TileMatrix<double> timing_matrix(int p, int q, int nb) {
+  auto dense = random_matrix<double>(std::int64_t(p) * nb, std::int64_t(q) * nb, 0x7A13);
+  return TileMatrix<double>::from_dense(dense.view(), nb);
+}
+
+/// Wall seconds (best of `reps`) to factorize a copy of `base` with
+/// `config` on the whole pool: plan through `cache`, CriticalPath keys from
+/// the cached ranks. Every config of a shape times the same `base`, so the
+/// O(p q nb^2) generation cost is paid once.
+double measure_tree_seconds(const TreeConfig& config, const TileMatrix<double>& base, int ib,
+                            core::PlanCache& cache, runtime::ThreadPool& pool, int reps) {
+  const int p = base.mt();
+  const int q = base.nt();
+  const int nb = base.nb();
+  auto plan = cache.get(p, q, config);
+  ib = std::min(ib, nb);
+
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < std::max(1, reps); ++r) {
+    TileMatrix<double> a = base;
+    core::TStore<double> t(p, q, ib, nb);
+    core::TStore<double> t2(p, q, ib, nb);
+    WallTimer timer;
+    pool.run(
+        plan->graph,
+        [&](std::int32_t idx) {
+          core::run_task_kernels(plan->graph.tasks[size_t(idx)], a, t, t2, ib);
+        },
+        runtime::SchedulePriority::CriticalPath, 0, &plan->ranks);
+    best = std::min(best, timer.seconds());
+  }
+  return best;
+}
+
 }  // namespace
 
 int main() {
@@ -74,8 +113,7 @@ int main() {
 
   runtime::ThreadPool pool(knobs.threads);
   core::PlanCache cache;
-  tuner::TunerConfig tuner_config;  // sc11 profile, model-only stage
-  tuner::Tuner tuner(tuner_config);
+  tuner::Tuner tuner;  // sc11 profile
 
   std::printf("nb = %d, ib = %d, pool = %d workers, reps = %d, profile = %s\n\n", nb, ib,
               pool.size(), reps, tuner.config().profile.id.c_str());
@@ -96,16 +134,14 @@ int main() {
     std::vector<TreeConfig> fixed = tuner::candidate_configs(p, q);
     TreeConfig auto_config = tuner.choose(p, q, pool.size(), cache);
 
-    // tuner::measure_tree_seconds is the tuner's own stage-2 protocol, so
-    // the bench's numbers and the tuner's refinement numbers cannot drift
-    // apart; one stage2_matrix per shape, every config times the same data.
-    const TileMatrix<double> base = tuner::stage2_matrix(p, q, nb);
+    // One timing matrix per shape: every config times the same data.
+    const TileMatrix<double> base = timing_matrix(p, q, nb);
     ShapeResult r{p, q, auto_config};
     r.best_sec = -1.0;
     double auto_sec = -1.0;
     std::vector<double> seconds;
     for (const TreeConfig& c : fixed) {
-      double sec = tuner::measure_tree_seconds(c, base, ib, cache, pool, 0, reps);
+      double sec = measure_tree_seconds(c, base, ib, cache, pool, reps);
       seconds.push_back(sec);
       if (c == auto_config) auto_sec = sec;
       if (r.best_sec < 0.0 || sec < r.best_sec) {
@@ -119,7 +155,7 @@ int main() {
     r.median_sec = seconds[seconds.size() / 2];
     // A forced (TILEDQR_TREE) config can fall outside the fixed set.
     if (auto_sec < 0.0)
-      auto_sec = tuner::measure_tree_seconds(auto_config, base, ib, cache, pool, 0, reps);
+      auto_sec = measure_tree_seconds(auto_config, base, ib, cache, pool, reps);
     r.auto_sec = auto_sec;
     r.auto_is_best = auto_config.name() == r.best_name;
 

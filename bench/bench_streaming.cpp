@@ -82,18 +82,26 @@ struct SentinelBurst {
 /// streamed mode grafts every burst onto the live submission and never
 /// waits until the end. The measured difference is therefore scheduling
 /// machinery plus the batch-boundary drains the stream exists to remove.
-/// Best-of-`reps`: min is the stable statistic on a shared host.
+/// Best-of-`reps`: min is the stable statistic on a shared host. A `quick`
+/// run serves few graphs, so every row gets at least 5 bursts (one burst
+/// leaves no drain for the stream to skip, and the streamed-vs-fused verdict
+/// of that row flipped between runs) and the median of the reps is
+/// compared instead of the best.
 OverheadRow run_overhead(core::PlanCache& cache, runtime::ThreadPool& pool, int p, int q,
-                         int depth, int count, int reps) {
+                         int depth, int count, int reps, bool quick) {
   OverheadRow row;
   row.depth = depth;
   auto noop = [](std::int32_t) {};
   const trees::TreeConfig tree{};
   auto plan = cache.get(p, q, tree);  // warmed outside the timers
-  const int bursts = std::max(1, count / depth);
+  const int bursts = std::max(quick ? 5 : 1, count / depth);
+  std::vector<double> secs(size_t(reps), 0.0);
+  auto us_per_graph = [&] {
+    std::sort(secs.begin(), secs.end());
+    return (quick ? secs[secs.size() / 2] : secs.front()) * 1e6 / double(bursts * depth);
+  };
 
-  double best = -1.0;
-  for (int r = 0; r < reps; ++r) {
+  for (double& sec : secs) {
     std::vector<std::future<void>> futures;
     futures.reserve(size_t(depth));
     WallTimer timer;
@@ -105,12 +113,11 @@ OverheadRow run_overhead(core::PlanCache& cache, runtime::ThreadPool& pool, int 
                                       &plan->ranks));
       for (auto& f : futures) f.get();  // batch boundary: drain before the next burst
     }
-    best = best < 0 ? timer.seconds() : std::min(best, timer.seconds());
+    sec = timer.seconds();
   }
-  row.per_matrix_us = best * 1e6 / double(bursts * depth);
+  row.per_matrix_us = us_per_graph();
 
-  best = -1.0;
-  for (int r = 0; r < reps; ++r) {
+  for (double& sec : secs) {
     WallTimer timer;
     for (int b = 0; b < bursts; ++b) {
       SentinelBurst state(*plan, depth);
@@ -122,12 +129,11 @@ OverheadRow run_overhead(core::PlanCache& cache, runtime::ThreadPool& pool, int 
           [](std::exception_ptr) {});
       for (auto& f : futures) f.get();  // batch boundary: drain before the next burst
     }
-    best = best < 0 ? timer.seconds() : std::min(best, timer.seconds());
+    sec = timer.seconds();
   }
-  row.fused_us = best * 1e6 / double(bursts * depth);
+  row.fused_us = us_per_graph();
 
-  best = -1.0;
-  for (int r = 0; r < reps; ++r) {
+  for (double& sec : secs) {
     std::vector<std::unique_ptr<SentinelBurst>> states;
     std::vector<std::future<void>> futures;
     futures.reserve(size_t(bursts) * size_t(depth));
@@ -145,11 +151,11 @@ OverheadRow run_overhead(core::PlanCache& cache, runtime::ThreadPool& pool, int 
                     [state](std::int32_t part, std::exception_ptr e) { state->part_done(part, e); });
     }
     for (auto& f : futures) f.get();
-    best = best < 0 ? timer.seconds() : std::min(best, timer.seconds());
+    sec = timer.seconds();
     stream.close();
     stream.wait();
   }
-  row.streamed_us = best * 1e6 / double(bursts * depth);
+  row.streamed_us = us_per_graph();
   return row;
 }
 
@@ -412,7 +418,8 @@ int main() {
                          grid, grid == 2 ? " [acceptance grid]" : ""));
     to.set_header({"depth", "per-matrix", "fixed-fused", "streamed", "pm/st", "st/fu"});
     for (int depth : depths) {
-      auto row = run_overhead(cache, pool, grid, grid, depth, count, std::max(6, knobs.reps));
+      auto row = run_overhead(cache, pool, grid, grid, depth, count, std::max(6, knobs.reps),
+                              knobs.quick);
       (grid == 2 ? rows : big_rows).push_back(row);
       to.add_row({stringf("%d", row.depth), stringf("%.1f", row.per_matrix_us),
                   stringf("%.1f", row.fused_us), stringf("%.1f", row.streamed_us),

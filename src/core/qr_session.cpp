@@ -17,15 +17,10 @@ FactorSession::FactorSession() : pool_(0) {}
 FactorSession::FactorSession(Config config)
     : tuner_(std::move(config.tuner)), pool_(config.threads) {}
 
-tuner::TunedDecision FactorSession::decide_tree(int p, int q, int worker_cap,
-                                                kernels::FactorKind factor) {
-  const int workers = worker_cap > 0 ? std::min(worker_cap, pool_.size()) : pool_.size();
-  return tuner_.decide(p, q, workers, cache_, &pool_, factor);
-}
-
 trees::TreeConfig FactorSession::choose_tree(int p, int q, int worker_cap,
                                              kernels::FactorKind factor) {
-  return decide_tree(p, q, worker_cap, factor).config;
+  const int workers = worker_cap > 0 ? std::min(worker_cap, pool_.size()) : pool_.size();
+  return tuner_.choose(p, q, workers, cache_, factor);
 }
 
 std::string FactorSession::health_report() const {
@@ -58,11 +53,6 @@ int FactorSession::normalize_threads(Options& opt) const noexcept {
   const int cap = clamp_cap(opt.threads);
   opt.threads = cap == 0 ? pool_.size() : cap;
   return cap;
-}
-
-void FactorSession::validate_auto_options(const AutoOptions& opt) {
-  TILEDQR_CHECK(opt.nb >= 1, stringf("AutoOptions::nb must be >= 1 (got %d)", opt.nb));
-  TILEDQR_CHECK(opt.ib >= 1, stringf("AutoOptions::ib must be >= 1 (got %d)", opt.ib));
 }
 
 void FactorSession::rethrow_batch_failure(const std::exception_ptr& first, size_t failed,

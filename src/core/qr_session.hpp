@@ -13,7 +13,6 @@
 //   core::TiledQr<double> qr = fut.get();          // rethrows task errors
 //   auto qrs = session.factorize_batch<double>(views, opt);  // 64 small QRs
 //   auto x = session.solve_least_squares_async<double>(a.view(), b.view(), opt);
-//   auto qr2 = session.factorize_auto<double>(a.view());  // tuner picks the tree
 //   auto stream = session.stream<double>();        // streaming fusion
 //   auto s2 = stream.push_solve(a2.view(), b2.view());
 //
@@ -40,11 +39,11 @@
 // whole to one home worker; its next stages queue on ready_applies and
 // every flush point grafts them as one component.
 //
-// Auto mode: wherever `Options::tree` is left disengaged, the batch,
-// pipeline, and stream paths route the shape through the session's tree
-// autotuner (choose_tree). The plain submit() keeps the explicit-options
-// contract (disengaged tree = the Greedy paper default); use submit_auto
-// for tuned single factorizations.
+// One tree rule: a disengaged `Options::tree` is resolved in one place,
+// plan_request(), by the session's tree tuner (choose_tree_for) for the
+// input's reduction grid at the request's worker cap — on submit, the
+// batches, the solve pipeline and stream pushes alike. An engaged tree is
+// used verbatim.
 //
 // Results are bitwise identical to TiledQr<T>::factorize on the same input
 // and tree: the same plan, the same kernels, and tasks that write disjoint
@@ -82,17 +81,9 @@ class FactorSession {
     /// Worker count of the session pool; 0 = TILEDQR_THREADS or hardware
     /// concurrency (the library-wide default rule).
     int threads = 0;
-    /// Auto-mode tuning knobs (weight profile, stage-2 refinement, table
-    /// persistence path); see tuner::TunerConfig.
+    /// Tree-tuner knobs (weight profile, table persistence path); see
+    /// tuner::TunerConfig.
     tuner::TunerConfig tuner{};
-  };
-
-  /// Auto-mode options: like Options but without a TreeConfig — the tuner
-  /// supplies the algorithm, that is the point.
-  struct AutoOptions {
-    int nb = 128;     ///< tile size (dense inputs; pre-tiled inputs keep theirs)
-    int ib = 32;      ///< inner blocking of the kernels
-    int threads = 0;  ///< per-request worker cap; 0 = whole pool
   };
 
   /// What a push does when the stream already holds `max_queued` unresolved
@@ -156,12 +147,13 @@ class FactorSession {
   /// `opt.threads > 0` caps how many pool workers this one factorization may
   /// occupy; 0 lets it spread over the whole pool. Caps above the pool size
   /// clamp to the pool, so 0, negative, and over-pool requests all mean
-  /// "whole pool" — the invariant every session path shares.
+  /// "whole pool" — the invariant every session path shares. A disengaged
+  /// `opt.tree` is tuned for the input's shape at that cap.
   template <typename T>
   [[nodiscard]] std::future<TiledQr<T>> submit(TileMatrix<T> a, Options opt) {
     const int cap = normalize_threads(opt);
     return std::move(launch<T, TiledQr<T>>(1, cap, [&](Request<T>& r, size_t) {
-                       r.own(plan_request(std::move(a), opt));
+                       r.own(plan_request(std::move(a), opt, cap));
                      }).front());
   }
 
@@ -285,71 +277,16 @@ class FactorSession {
                                                                  Options opt) {
     const int cap = normalize_threads(opt);
     return std::move(launch<T, Matrix<T>>(1, cap, [&](Request<T>& r, size_t) {
-                       auto tiles = TileMatrix<T>::from_dense(a, opt.nb);
-                       if (!opt.tree) opt.tree = choose_tree_for(tiles, cap);
-                       r.own(plan_request(std::move(tiles), opt));
+                       r.own(plan_request(TileMatrix<T>::from_dense(a, opt.nb), opt, cap));
                        set_rhs(r, b, "solve_least_squares_async");
                      }).front());
   }
 
-  // ------------------------------------------------------------- auto mode --
-  // The tuner-driven entry points: the caller supplies no TreeConfig; the
-  // session picks the paper-optimal tree for (tile-grid shape, pool size)
-  // via its Tuner (model ranking + optional on-pool refinement, memoized in
-  // a TuningTable, TILEDQR_TREE env override honored). Results are bitwise
-  // identical to submitting the chosen config explicitly — auto mode only
-  // decides, the execution path is the same submit().
-
-  /// Asynchronous auto-tuned factorization of a dense matrix. Invalid
-  /// AutoOptions (nb/ib < 1) throw a descriptive Error up front — they can
-  /// never reach the tile-layout conversion.
-  template <typename T>
-  [[nodiscard]] std::future<TiledQr<T>> submit_auto(ConstMatrixView<T> a,
-                                                    const AutoOptions& opt = {}) {
-    validate_auto_options(opt);
-    return submit_auto(TileMatrix<T>::from_dense(a, opt.nb), opt);
-  }
-
-  /// Asynchronous auto-tuned factorization of a tiled matrix (consumed);
-  /// `opt.nb` is ignored in favor of the input's own tiling. The tuner sees
-  /// the workers this request may actually occupy (`opt.threads` capped to
-  /// the pool), so capped requests get the tree that is best at *their*
-  /// concurrency, not the whole pool's.
-  template <typename T>
-  [[nodiscard]] std::future<TiledQr<T>> submit_auto(TileMatrix<T> a, const AutoOptions& opt = {}) {
-    validate_auto_options(opt);
-    Options full;
-    full.tree = choose_tree_for(a, opt.threads);
-    full.nb = a.nb();
-    full.ib = opt.ib;
-    full.threads = opt.threads;
-    return submit(std::move(a), full);
-  }
-
-  /// Blocking auto-tuned factorization.
-  template <typename T>
-  [[nodiscard]] TiledQr<T> factorize_auto(ConstMatrixView<T> a, const AutoOptions& opt = {}) {
-    return submit_auto(a, opt).get();
-  }
-
-  template <typename T>
-  [[nodiscard]] TiledQr<T> factorize_auto(TileMatrix<T> a, const AutoOptions& opt = {}) {
-    return submit_auto(std::move(a), opt).get();
-  }
-
-  /// The full tuning decision for a p x q tile grid on this session's pool
-  /// (env override > tuning table > model + refinement): the chosen config
-  /// plus how it was reached (forced / refined / model makespan).
-  /// `worker_cap > 0` tunes for a request confined to that many workers
-  /// (the AutoOptions::threads semantics); 0 tunes for the whole pool.
-  [[nodiscard]] tuner::TunedDecision decide_tree(int p, int q, int worker_cap = 0,
-                                                 kernels::FactorKind factor =
-                                                     kernels::FactorKind::QR);
-
-  /// Just the chosen TreeConfig — useful to pin the auto decision into an
-  /// explicit Options (e.g. for the async pipelines). (p, q) is the
-  /// reduction grid the elimination tree runs on — wide inputs pass the
-  /// transposed grid (see choose_tree_for).
+  /// The tree the session's tuner picks for a p x q reduction grid
+  /// (TILEDQR_TREE override > tuning table > model ranking) — what a
+  /// disengaged `Options::tree` resolves to. Wide inputs pass the transposed
+  /// grid (see choose_tree_for). `worker_cap > 0` tunes for a request
+  /// confined to that many workers; 0 tunes for the whole pool.
   [[nodiscard]] trees::TreeConfig choose_tree(int p, int q, int worker_cap = 0,
                                               kernels::FactorKind factor =
                                                   kernels::FactorKind::QR);
@@ -365,7 +302,6 @@ class FactorSession {
                : choose_tree(tiles.mt(), tiles.nt(), worker_cap);
   }
 
-  [[nodiscard]] tuner::Tuner& tree_tuner() noexcept { return tuner_; }
   [[nodiscard]] tuner::TuningTable::Stats tuning_stats() const { return tuner_.stats(); }
 
   [[nodiscard]] runtime::ThreadPool& pool() noexcept { return pool_; }
@@ -583,26 +519,24 @@ class FactorSession {
   }
 
   /// Shared body of the submit_batch flavors: `make_tiles(i)` yields the
-  /// i-th input's TileMatrix (converting or moving). A disengaged tree
-  /// resolves through the autotuner per input shape (at the per-matrix
-  /// worker cap — the concurrency each matrix actually gets).
+  /// i-th input's TileMatrix (converting or moving), planned at the
+  /// per-matrix worker cap — the concurrency each matrix actually gets.
   template <typename T, typename MakeTiles>
   [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch_impl(size_t count,
                                                                        MakeTiles&& make_tiles,
                                                                        Options opt) {
     const int cap = normalize_threads(opt);
     return launch<T, TiledQr<T>>(count, cap, [&](Request<T>& r, size_t i) {
-      TileMatrix<T> tiles = make_tiles(i);
-      Options per = opt;
-      if (!per.tree) per.tree = choose_tree_for(tiles, cap);
-      r.own(plan_request(std::move(tiles), per));
+      r.own(plan_request(make_tiles(i), opt, cap));
     });
   }
 
   /// Tile → plan for one request on the session cache (remembered for
-  /// health_report()).
+  /// health_report()). The one place a disengaged tree is resolved: by the
+  /// tuner, for this input's shape at worker cap `cap` (0 = whole pool).
   template <typename T>
-  [[nodiscard]] TiledQr<T> plan_request(TileMatrix<T> tiles, const Options& opt) {
+  [[nodiscard]] TiledQr<T> plan_request(TileMatrix<T> tiles, Options opt, int cap) {
+    if (!opt.tree) opt.tree = choose_tree_for(tiles, cap);
     TiledQr<T> qr = TiledQr<T>::prepare(std::move(tiles), opt, cache_);
     note_plan(qr.plan_);
     return qr;
@@ -623,8 +557,6 @@ class FactorSession {
   /// over-pool cap leave identical state everywhere) and returns the
   /// ThreadPool worker cap.
   [[nodiscard]] int normalize_threads(Options& opt) const noexcept;
-
-  static void validate_auto_options(const AutoOptions& opt);
 
   /// Drains a submit_batch future set, preserving order. A single failure is
   /// rethrown verbatim; multiple failures rethrow an Error carrying the
@@ -653,8 +585,7 @@ class FactorSession {
 
   // Declaration order matters: the pool's destructor drains in-flight
   // submissions, which still reference cached plans — so the cache must
-  // outlive the pool (destroyed after it). The tuner sits between them: its
-  // refinement runs on the pool, so it too must outlive the pool.
+  // outlive the pool (destroyed after it).
   PlanCache cache_;
   tuner::Tuner tuner_;
   runtime::ThreadPool pool_;
@@ -794,8 +725,8 @@ class FactorStreamBase {
   /// The sink of this stream's requests (its shared state).
   [[nodiscard]] std::shared_ptr<FactorSession::Sink> sink() const;
   [[nodiscard]] FactorSession& session() const;
-  /// Options for one pushed request; a disengaged tree is left for the
-  /// caller to tune at worker_cap().
+  /// Options for one pushed request; a disengaged tree is resolved by
+  /// FactorSession::plan_request at worker_cap().
   [[nodiscard]] Options request_options() const;
   [[nodiscard]] int worker_cap() const;
 
@@ -878,11 +809,9 @@ class FactorStream : public FactorStreamBase {
     return future;
   }
 
-  /// Tile → plan, resolving a disengaged tree through the autotuner for this
-  /// input's shape at the stream's worker cap.
-  [[nodiscard]] TiledQr<T> prepare(TileMatrix<T> tiles, Options opt) {
-    if (!opt.tree) opt.tree = session().choose_tree_for(tiles, worker_cap());
-    return session().plan_request(std::move(tiles), opt);
+  /// Tile → plan on the session, at the stream's worker cap.
+  [[nodiscard]] TiledQr<T> prepare(TileMatrix<T> tiles, const Options& opt) {
+    return session().plan_request(std::move(tiles), opt, worker_cap());
   }
 };
 

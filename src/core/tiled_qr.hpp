@@ -36,13 +36,14 @@ namespace tiledqr::core {
 
 using kernels::ApplyTrans;
 
-/// Factorization options. `tree` left disengaged means "pick for me": the
-/// FactorSession batch/pipeline/stream paths route it through the tree
-/// autotuner per shape, while the direct TiledQr paths (no tuner in scope)
-/// fall back to the paper's recommended default, Greedy with TT kernels. An
-/// engaged tree is always honored verbatim.
+/// Factorization options. `tree` left disengaged means "pick for me": every
+/// FactorSession path (submit, the batches, the solve pipeline, stream
+/// pushes) has the session's tree tuner pick it for the input's shape and
+/// worker cap, while the direct TiledQr paths (no tuner in scope) fall back
+/// to the paper's recommended default, Greedy with TT kernels. An engaged
+/// tree is always honored verbatim.
 struct Options {
-  std::optional<trees::TreeConfig> tree{};  ///< algorithm; nullopt = auto/Greedy
+  std::optional<trees::TreeConfig> tree{};  ///< algorithm; nullopt = tuned/Greedy
   int nb = 128;                             ///< tile size
   int ib = 32;                              ///< inner blocking of the kernels
   int threads = 0;  ///< worker threads; 0 = TILEDQR_THREADS or hw concurrency
@@ -436,10 +437,10 @@ class TiledQr {
   /// executing; factorize() and FactorSession's async path both start here.
   /// Routes on element shape: m < n factors by LQ on the transposed
   /// (reduction) grid, everything else by QR. A disengaged `opt.tree`
-  /// resolves to the Greedy/TT default here (the session paths resolve it
-  /// through the autotuner before calling); the stored options always carry
-  /// the tree and tile size actually used (a pre-tiled input keeps its own
-  /// nb, whatever `opt.nb` says).
+  /// resolves to the Greedy/TT default here (FactorSession::plan_request
+  /// resolves it through the tuner before calling); the stored options
+  /// always carry the tree and tile size actually used (a pre-tiled input
+  /// keeps its own nb, whatever `opt.nb` says).
   [[nodiscard]] static TiledQr prepare(TileMatrix<T> a, Options opt,
                                        PlanCache& cache = PlanCache::default_cache()) {
     TiledQr qr;

@@ -116,7 +116,7 @@ class TileMatrix {
 
   [[nodiscard]] static int checked_nb(std::int64_t m, std::int64_t n, int nb) {
     TILEDQR_CHECK(m >= 1 && n >= 1, "tile matrix must be non-empty");
-    TILEDQR_CHECK(nb >= 1, "tile size must be positive");
+    TILEDQR_CHECK(nb >= 1, "tile size nb must be >= 1");
     return nb;
   }
 

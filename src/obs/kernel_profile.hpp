@@ -1,14 +1,13 @@
 // Per-kernel timing histograms fed by the runtime's task hook, aggregated
-// into a perf::WeightProfile — so the tuner's "measured" profile can come
-// from live serving traffic instead of a synthetic kernel bench.
+// into a perf::WeightProfile — the tuner's measured profile, taken from live
+// serving traffic.
 //
 // Recording shares the Tracer's enabled() guard: when observability is off
 // the runtime pays one relaxed load per task and never reaches here. When
 // on, each retired task adds its measured nanoseconds to the histogram of
 // its KernelKind (atomic, lock-free, any thread).
 //
-// live_profile() turns the observed means into the same shape
-// perf::measured_profile() produces: seconds-per-call weights by
+// live_profile() turns the observed means into seconds-per-call weights by
 // KernelKind, under the stable id "live". Kernel kinds the traffic never
 // exercised are filled from a fallback profile, rescaled by the mean
 // observed/fallback ratio of the kinds that were seen — a tree the traffic

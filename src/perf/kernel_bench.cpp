@@ -4,7 +4,6 @@
 #include <complex>
 #include <vector>
 
-#include "common/stringf.hpp"
 #include "common/timer.hpp"
 #include "matrix/generate.hpp"
 #include "perf/cache_flush.hpp"
@@ -158,30 +157,6 @@ WeightProfile sc11_profile() {
   }
   return p;
 }
-
-namespace {
-
-template <typename T>
-const char* scalar_tag() {
-  if constexpr (is_complex_v<T>) return sizeof(T) == 8 ? "c64" : "c128";
-  else return sizeof(T) == 4 ? "f32" : "f64";
-}
-
-}  // namespace
-
-template <typename T>
-WeightProfile measured_profile(int nb, int ib, CacheMode mode, int reps) {
-  WeightProfile p;
-  p.id = stringf("measured-%s(nb=%d,ib=%d,%s)", scalar_tag<T>(), nb, ib,
-                 mode == CacheMode::InCache ? "in" : "out");
-  p.weight = measure_kernel_seconds<T>(nb, ib, mode, reps);
-  return p;
-}
-
-template WeightProfile measured_profile<float>(int, int, CacheMode, int);
-template WeightProfile measured_profile<double>(int, int, CacheMode, int);
-template WeightProfile measured_profile<std::complex<float>>(int, int, CacheMode, int);
-template WeightProfile measured_profile<std::complex<double>>(int, int, CacheMode, int);
 
 template std::array<double, 6> measure_kernel_seconds<float>(int, int, CacheMode, int);
 template std::array<double, 6> measure_kernel_seconds<double>(int, int, CacheMode, int);

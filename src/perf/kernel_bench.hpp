@@ -37,9 +37,9 @@ template <typename T>
                                                            int reps);
 
 /// A named per-kernel-kind weight vector for ranking candidate elimination
-/// trees with the bounded-processor simulator (the tree autotuner's stage-1
-/// model). `id` is a stable string that keys tuning-table entries, so
-/// decisions made under one profile are never served under another.
+/// trees with the bounded-processor simulator (the tree autotuner's model).
+/// `id` is a stable string that keys tuning-table entries, so decisions
+/// made under one profile are never served under another.
 struct WeightProfile {
   std::string id;
   std::array<double, 6> weight{};  ///< time units per kernel call, by KernelKind
@@ -57,15 +57,5 @@ struct WeightProfile {
 /// on squarish grids, Greedy/Fibonacci win on tall ones — and is the
 /// autotuner's default.
 [[nodiscard]] WeightProfile sc11_profile();
-
-/// This machine's measured kernel seconds as a profile (median per-call
-/// wall time via measure_kernel_seconds); the id records scalar type, tile
-/// sizes, and cache mode — NOT the host. Two machines produce the same id
-/// with different weights, so tuning tables built under a measured profile
-/// are per-host artifacts: don't ship them across a heterogeneous fleet
-/// (the built-in table1/sc11 profiles are host-independent and safe to
-/// share).
-template <typename T>
-[[nodiscard]] WeightProfile measured_profile(int nb, int ib, CacheMode mode, int reps);
 
 }  // namespace tiledqr::perf

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <limits>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
-#include "core/tiled_qr.hpp"
-#include "matrix/generate.hpp"
-#include "runtime/thread_pool.hpp"
+#include "core/plan.hpp"
 #include "sim/bounded.hpp"
 
 namespace tiledqr::tuner {
@@ -21,37 +17,6 @@ using trees::TreeConfig;
 using trees::TreeKind;
 
 }  // namespace
-
-TileMatrix<double> stage2_matrix(int p, int q, int nb) {
-  auto dense = random_matrix<double>(std::int64_t(p) * nb, std::int64_t(q) * nb, 0x7A13);
-  return TileMatrix<double>::from_dense(dense.view(), nb);
-}
-
-double measure_tree_seconds(const TreeConfig& config, const TileMatrix<double>& base, int ib,
-                            core::PlanCache& cache, runtime::ThreadPool& pool, int workers,
-                            int reps) {
-  const int p = base.mt();
-  const int q = base.nt();
-  const int nb = base.nb();
-  auto plan = cache.get(p, q, config);
-  ib = std::min(ib, nb);
-
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < std::max(1, reps); ++r) {
-    TileMatrix<double> a = base;
-    core::TStore<double> t(p, q, ib, nb);
-    core::TStore<double> t2(p, q, ib, nb);
-    WallTimer timer;
-    pool.run(
-        plan->graph,
-        [&](std::int32_t idx) {
-          core::run_task_kernels(plan->graph.tasks[size_t(idx)], a, t, t2, ib);
-        },
-        runtime::SchedulePriority::CriticalPath, workers, &plan->ranks);
-    best = std::min(best, timer.seconds());
-  }
-  return best;
-}
 
 std::optional<TreeConfig> forced_tree_from_env(int p, int q) {
   auto raw = env_string("TILEDQR_TREE");
@@ -99,7 +64,6 @@ Tuner::Tuner(TunerConfig config) : config_(std::move(config)) {
         TuningTable::Stats s = table_.stats();
         out.push_back({"hits", double(s.hits)});
         out.push_back({"misses", double(s.misses)});
-        out.push_back({"refinements", double(s.refinements)});
         out.push_back({"entries", double(s.entries)});
       });
 }
@@ -148,7 +112,7 @@ std::vector<Candidate> Tuner::rank_candidates(int p, int q, int workers,
     auto plan = cache.get(p, q, c, factor);
     auto sim = sim::simulate_bounded_weighted(plan->graph, workers, config_.profile.weight,
                                               sim::SimPriority::CriticalPath);
-    ranked.push_back(Candidate{c, sim.makespan, -1.0});
+    ranked.push_back(Candidate{c, sim.makespan});
   }
   std::stable_sort(ranked.begin(), ranked.end(), [](const Candidate& a, const Candidate& b) {
     return a.model_makespan < b.model_makespan;
@@ -172,11 +136,11 @@ std::optional<TreeConfig> Tuner::forced_tree_cached(int p, int q) {
 }
 
 TunedDecision Tuner::decide(int p, int q, int workers, core::PlanCache& cache,
-                            runtime::ThreadPool* pool, kernels::FactorKind factor) {
-  // Env override: bypasses table, model, and refinement entirely (A/B
-  // escape hatch). No simulation and a memoized parse (forced_tree_cached),
-  // so the forced path does no per-request work. The forced config depends
-  // only on the reduction-grid shape, never on the factor kind.
+                            kernels::FactorKind factor) {
+  // Env override: bypasses table and model entirely (A/B escape hatch). No
+  // simulation and a memoized parse (forced_tree_cached), so the forced
+  // path does no per-request work. The forced config depends only on the
+  // reduction-grid shape, never on the factor kind.
   if (auto forced = forced_tree_cached(p, q)) {
     TunedDecision d;
     d.config = *forced;
@@ -186,41 +150,11 @@ TunedDecision Tuner::decide(int p, int q, int workers, core::PlanCache& cache,
 
   if (auto hit = table_.lookup(p, q, workers, config_.profile.id, factor)) return *hit;
 
-  // Stage 1: model ranking.
-  std::vector<Candidate> ranked = rank_candidates(p, q, workers, cache, factor);
-  TunedDecision d;
-  d.config = ranked.front().config;
-  d.model_makespan = ranked.front().model_makespan;
-
-  // Stage 2: time the top-k candidates on the real pool, keep the winner.
-  // For LQ the timing problem is the transpose-dual QR factorization of the
-  // same reduction grid — by duality it runs the identical kernel mix, so
-  // its measured ordering transfers (and it avoids teaching the stage-2
-  // driver about A-layout tile coordinates).
-  if (config_.refine_top_k > 0 && pool != nullptr) {
-    const size_t k = std::min(size_t(config_.refine_top_k), ranked.size());
-    // One timing matrix for the whole candidate field.
-    const TileMatrix<double> base = stage2_matrix(p, q, config_.refine_nb);
-    double best_sec = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < k; ++i) {
-      // Measure at the concurrency the decision is keyed on, not the whole
-      // pool — a tree that wins 16-way can lose 2-way.
-      ranked[i].measured_seconds = measure_tree_seconds(
-          ranked[i].config, base, config_.refine_ib, cache, *pool, workers,
-          config_.refine_reps);
-      if (ranked[i].measured_seconds < best_sec) {
-        best_sec = ranked[i].measured_seconds;
-        d.config = ranked[i].config;
-        d.model_makespan = ranked[i].model_makespan;
-        d.measured_seconds = ranked[i].measured_seconds;
-      }
-    }
-    d.refined = true;
-  }
-
+  const Candidate best = rank_candidates(p, q, workers, cache, factor).front();
   // The table arbitrates concurrent misses: whoever records first wins and
   // everyone returns the stored decision.
-  return table_.record(p, q, workers, config_.profile.id, d, factor);
+  return table_.record(p, q, workers, config_.profile.id,
+                       TunedDecision{best.config, best.model_makespan}, factor);
 }
 
 }  // namespace tiledqr::tuner

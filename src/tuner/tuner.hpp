@@ -1,23 +1,18 @@
-// Tree autotuner: model- and measurement-driven algorithm selection.
+// Tree autotuner: model-driven algorithm selection.
 //
 // The paper's central result is that the best elimination tree depends on
 // the tile-grid shape and the core count: Greedy is asymptotically optimal
 // for tall grids, Fibonacci is within a small additive term, and
 // FlatTree/PlasmaTree with the TS kernels win on squarish shapes because the
 // TS kernels run at higher rates (§5). The Tuner turns that taxonomy into an
-// automatic decision so serving traffic never hand-picks a TreeConfig:
-//
-//   Stage 1 (model): enumerate the candidate trees — FlatTree (TT and TS),
-//   BinaryTree, Fibonacci, Greedy, and PlasmaTree in both families with the
-//   domain size from the paper's exhaustive BS sweep (best_plasma_bs) — and
-//   rank them by the makespan of the bounded-processor list scheduler
-//   (sim::simulate_bounded_weighted) on the actual worker count, under a
-//   per-kernel weight profile (Table-1 units, the paper-calibrated sc11
-//   profile, or this machine's measured kernel seconds).
-//
-//   Stage 2 (optional refinement): factorize a real matrix of that shape
-//   with each of the top-k model candidates on the serving ThreadPool and
-//   keep the measured winner — the model proposes, the hardware disposes.
+// automatic decision so serving traffic never hand-picks a TreeConfig: it
+// enumerates the candidate trees — FlatTree (TT and TS), BinaryTree,
+// Fibonacci, Greedy, and PlasmaTree in both families with the domain size
+// from the paper's exhaustive BS sweep (best_plasma_bs) — and ranks them by
+// the makespan of the bounded-processor list scheduler
+// (sim::simulate_bounded_weighted) on the actual worker count, under a
+// per-kernel weight profile (Table-1 units, the paper-calibrated sc11
+// profile, or live kernel means from obs::KernelProfiler::live_profile).
 //
 // Decisions land in a TuningTable keyed on (p, q, workers, profile id) that
 // serializes to JSON, so tuning survives process restarts. The environment
@@ -35,68 +30,36 @@
 #include <vector>
 
 #include "core/plan_cache.hpp"
-#include "matrix/tile_matrix.hpp"
 #include "obs/metrics.hpp"
 #include "perf/kernel_bench.hpp"
 #include "tuner/tuning_table.hpp"
 
-namespace tiledqr::runtime {
-class ThreadPool;
-}
-
 namespace tiledqr::tuner {
 
 struct TunerConfig {
-  /// Stage-1 weight profile; the paper-calibrated sc11 profile by default
+  /// Model weight profile; the paper-calibrated sc11 profile by default
   /// (Table-1 flops corrected by the §5 kernel efficiencies). Swap in
   /// perf::table1_profile() for pure flop counting or
-  /// perf::measured_profile<T>() for this machine's kernel seconds.
+  /// obs::KernelProfiler::live_profile() for kernel means measured here.
   perf::WeightProfile profile = perf::sc11_profile();
-
-  /// Stage 2: empirically time this many top model candidates on the real
-  /// pool and keep the measured winner. 0 = model-only (the default; stage 2
-  /// costs refine_reps real factorizations per candidate per new shape).
-  int refine_top_k = 0;
-  int refine_reps = 2;  ///< best-of reps per refined candidate
-  int refine_nb = 64;   ///< tile size of the stage-2 timing problems
-  int refine_ib = 32;
 
   /// JSON persistence: decisions load from this file at construction (when
   /// it exists) and save back on destruction / save(). "" = in-memory only.
   std::string table_path;
 };
 
-/// One ranked stage-1 candidate.
+/// One ranked candidate.
 struct Candidate {
   trees::TreeConfig config{};
-  double model_makespan = 0.0;     ///< weighted bounded-sim makespan
-  double measured_seconds = -1.0;  ///< stage-2 wall seconds; < 0 = not timed
+  double model_makespan = 0.0;  ///< weighted bounded-sim makespan
 };
 
-/// The stage-1 candidate enumeration for a p x q grid: FlatTree TT/TS,
-/// BinaryTree, Fibonacci, Greedy, and PlasmaTree TT/TS with the domain size
-/// from the paper's exhaustive BS sweep. Shared by Tuner::rank_candidates
+/// The candidate enumeration for a p x q grid: FlatTree TT/TS, BinaryTree,
+/// Fibonacci, Greedy, and PlasmaTree TT/TS with the domain size from the
+/// paper's exhaustive BS sweep. Shared by Tuner::rank_candidates
 /// and bench_autotune so the bench's fixed field cannot drift from what the
 /// tuner actually considers.
 [[nodiscard]] std::vector<trees::TreeConfig> candidate_configs(int p, int q);
-
-/// Wall seconds (best of `reps`) to factorize a copy of `base` with
-/// `config` on the pool — the tuner's stage-2 measurement protocol, exposed
-/// so benches comparing fixed trees use exactly the same loop (plan through
-/// `cache`, CriticalPath keys from the cached ranks). Callers timing several
-/// configs of one shape pass the same `base` so every candidate factorizes
-/// the same matrix and the O(p q nb^2) generation cost is paid once.
-/// `workers > 0` confines the run to that many pool workers — decisions
-/// keyed on a worker cap must be measured at that concurrency; 0 uses the
-/// whole pool.
-[[nodiscard]] double measure_tree_seconds(const trees::TreeConfig& config,
-                                          const TileMatrix<double>& base, int ib,
-                                          core::PlanCache& cache, runtime::ThreadPool& pool,
-                                          int workers, int reps);
-
-/// The deterministic p x q-tile stage-2 timing matrix (fixed seed, so every
-/// candidate of a shape measures against identical data).
-[[nodiscard]] TileMatrix<double> stage2_matrix(int p, int q, int nb);
 
 /// Parses TILEDQR_TREE: "flat", "binary", "fibonacci", "greedy", "plasma"
 /// force that algorithm for every shape ("flat"/"plasma" use the TS family —
@@ -117,8 +80,8 @@ class Tuner {
   Tuner& operator=(const Tuner&) = delete;
 
   /// The full decision for a p x q reduction grid on `workers` workers:
-  /// TILEDQR_TREE override first, then the tuning table, then the stage-1
-  /// model ranking (+ stage-2 refinement on `pool` when configured). For LQ
+  /// TILEDQR_TREE override first, then the tuning table, then the model
+  /// ranking. For LQ
   /// workloads callers pass the reduction grid (element grid transposed, so
   /// p >= q always holds here) and FactorKind::LQ; the decision is tabled
   /// under its own key and the candidate plans cached are LQ plans.
@@ -126,17 +89,15 @@ class Tuner {
   /// all return the same decision — the table keeps the first recorded
   /// winner and record() hands it back to the losers.
   [[nodiscard]] TunedDecision decide(int p, int q, int workers, core::PlanCache& cache,
-                                     runtime::ThreadPool* pool = nullptr,
                                      kernels::FactorKind factor = kernels::FactorKind::QR);
 
   /// Convenience: just the chosen TreeConfig.
   [[nodiscard]] trees::TreeConfig choose(int p, int q, int workers, core::PlanCache& cache,
-                                         runtime::ThreadPool* pool = nullptr,
                                          kernels::FactorKind factor = kernels::FactorKind::QR) {
-    return decide(p, q, workers, cache, pool, factor).config;
+    return decide(p, q, workers, cache, factor).config;
   }
 
-  /// The stage-1 candidate set, ranked best (smallest model makespan) first.
+  /// The candidate set, ranked best (smallest model makespan) first.
   /// Exposed for benches and tests; plans go through `cache` (keyed on
   /// `factor`, so the winner's plan is already cached for the workload that
   /// asked). LQ graphs rank identically to their QR duals — every LQ kernel

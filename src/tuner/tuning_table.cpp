@@ -52,7 +52,6 @@ TuningTable::TuningTable(TuningTable&& other) noexcept {
   map_ = std::move(other.map_);
   hits_ = other.hits_;
   misses_ = other.misses_;
-  refinements_ = other.refinements_;
 }
 
 TuningTable& TuningTable::operator=(TuningTable&& other) noexcept {
@@ -61,7 +60,6 @@ TuningTable& TuningTable::operator=(TuningTable&& other) noexcept {
   map_ = std::move(other.map_);
   hits_ = other.hits_;
   misses_ = other.misses_;
-  refinements_ = other.refinements_;
   return *this;
 }
 
@@ -83,22 +81,19 @@ TunedDecision TuningTable::record(int p, int q, int workers, const std::string& 
                                   kernels::FactorKind factor) {
   std::lock_guard lock(mu_);
   // Insert-if-absent: concurrent tuners racing on the same key converge on
-  // the first recorded decision (stage-2 timing noise could otherwise make
-  // them disagree), and the refinement counter matches live entries.
-  auto [it, inserted] = map_.try_emplace(Key{p, q, workers, profile, factor}, decision);
-  if (inserted && decision.refined) ++refinements_;
-  return it->second;
+  // the first recorded decision.
+  return map_.try_emplace(Key{p, q, workers, profile, factor}, decision).first->second;
 }
 
 TuningTable::Stats TuningTable::stats() const {
   std::lock_guard lock(mu_);
-  return Stats{hits_, misses_, refinements_, map_.size()};
+  return Stats{hits_, misses_, map_.size()};
 }
 
 void TuningTable::clear() {
   std::lock_guard lock(mu_);
   map_.clear();
-  hits_ = misses_ = refinements_ = 0;
+  hits_ = misses_ = 0;
 }
 
 std::string TuningTable::to_json() const {
@@ -115,8 +110,7 @@ std::string TuningTable::to_json() const {
 
   std::ostringstream out;
   out << "{\n  \"version\": 1,\n";
-  out << stringf("  \"stats\": {\"hits\": %ld, \"misses\": %ld, \"refinements\": %ld},\n", hits_,
-                 misses_, refinements_);
+  out << stringf("  \"stats\": {\"hits\": %ld, \"misses\": %ld},\n", hits_, misses_);
   out << "  \"entries\": [";
   bool first = true;
   for (const auto& [key, d] : sorted) {
@@ -126,13 +120,12 @@ std::string TuningTable::to_json() const {
         "    {\"p\": %d, \"q\": %d, \"workers\": %d, \"profile\": \"%s\", "
         "\"factor\": \"%s\", "
         "\"kind\": \"%s\", \"family\": \"%s\", \"bs\": %d, \"grasap_k\": %d, "
-        "\"model_makespan\": %.17g, \"measured_seconds\": %.17g, \"refined\": %s}",
+        "\"model_makespan\": %.17g}",
         key->p, key->q, key->workers, json::escape(key->profile).c_str(),
         kernels::factor_kind_name(key->factor),
         tree_kind_name(d->config.kind),
         d->config.family == trees::KernelFamily::TS ? "TS" : "TT", d->config.bs,
-        d->config.grasap_k, d->model_makespan, d->measured_seconds,
-        d->refined ? "true" : "false");
+        d->config.grasap_k, d->model_makespan);
   }
   out << (first ? "]\n}\n" : "\n  ]\n}\n");
   return out.str();
@@ -147,7 +140,6 @@ TuningTable TuningTable::from_json(std::string_view text) {
   const json::Value& stats = doc.at("stats");
   table.hits_ = stats.at("hits").as_int<long>("hits");
   table.misses_ = stats.at("misses").as_int<long>("misses");
-  table.refinements_ = stats.at("refinements").as_int<long>("refinements");
 
   for (const json::Value& e : doc.at("entries").as_array("entries")) {
     Key key;
@@ -184,8 +176,6 @@ TuningTable TuningTable::from_json(std::string_view text) {
     TILEDQR_CHECK(d.config.bs >= 1 && d.config.grasap_k >= 0,
                   "tuning table JSON: bs must be >= 1 and grasap_k >= 0");
     d.model_makespan = e.at("model_makespan").as_number("model_makespan");
-    d.measured_seconds = e.at("measured_seconds").as_number("measured_seconds");
-    d.refined = e.at("refined").as_bool("refined");
     table.map_[key] = d;
   }
   return table;

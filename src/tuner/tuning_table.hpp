@@ -5,14 +5,15 @@
 // made under one weight model are never served under another, plus the
 // factor kind so a QR and an LQ workload on the same reduction grid keep
 // independent entries — to the tuner's decision for that key: the chosen
-// TreeConfig, the stage-1 model makespan, and (when stage 2 ran) the
-// measured seconds of the winning candidate.
+// TreeConfig and its model makespan.
 //
 // The table is thread-safe and serializes to/from a small standalone JSON
 // document, so a serving process can load yesterday's decisions at startup
-// and a fleet can ship a pre-tuned table with the binary. Hit/miss/
-// refinement stats round-trip with the entries: a re-loaded table reports
-// the same counters it was saved with.
+// and a fleet can ship a pre-tuned table with the binary. Hit/miss stats
+// round-trip with the entries: a re-loaded table reports the same counters
+// it was saved with. Documents from before the tuner dropped its timing
+// stage still load; their "measured_seconds", "refined" and "refinements"
+// fields are ignored.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +29,10 @@
 
 namespace tiledqr::tuner {
 
-/// One tuning decision. `measured_seconds < 0` means stage 2 (empirical
-/// refinement) did not run and the choice is purely model-driven.
+/// One tuning decision.
 struct TunedDecision {
   trees::TreeConfig config{};
-  double model_makespan = 0.0;     ///< weighted bounded-sim makespan of `config`
-  double measured_seconds = -1.0;  ///< stage-2 wall seconds; < 0 = model-only
-  bool refined = false;            ///< stage 2 ran for this decision
+  double model_makespan = 0.0;  ///< weighted bounded-sim makespan of `config`
   /// TILEDQR_TREE dictated the config (no model, no table). Forced decisions
   /// are never recorded, so this flag is not part of the JSON format.
   bool forced = false;
@@ -49,10 +47,9 @@ struct TunedDecision {
 class TuningTable {
  public:
   struct Stats {
-    long hits = 0;         ///< lookups served from the table
-    long misses = 0;       ///< lookups that had to tune
-    long refinements = 0;  ///< recorded decisions that ran stage 2
-    size_t entries = 0;    ///< live decisions
+    long hits = 0;       ///< lookups served from the table
+    long misses = 0;     ///< lookups that had to tune
+    size_t entries = 0;  ///< live decisions
 
     [[nodiscard]] double hit_rate() const noexcept {
       long total = hits + misses;
@@ -72,8 +69,7 @@ class TuningTable {
   /// Records the decision for a key and returns the authoritative entry:
   /// the first record wins — later records for the same key are ignored (so
   /// concurrent tuners converge on one decision) and get the stored entry
-  /// back. Newly recorded decisions with `refined == true` bump the
-  /// refinement counter. Use clear() to force re-tuning.
+  /// back. Use clear() to force re-tuning.
   TunedDecision record(int p, int q, int workers, const std::string& profile,
                        const TunedDecision& decision,
                        kernels::FactorKind factor = kernels::FactorKind::QR);
@@ -113,7 +109,6 @@ class TuningTable {
   std::unordered_map<Key, TunedDecision, KeyHash> map_;
   long hits_ = 0;
   long misses_ = 0;
-  long refinements_ = 0;
 };
 
 }  // namespace tiledqr::tuner

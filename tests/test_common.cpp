@@ -160,7 +160,7 @@ TEST(Json, EscapeRoundTripsEveryByte) {
 // reproduces, and it is printed with the failing input.
 TEST(Json, SeededMutationsOnlyEverThrowError) {
   tuner::TuningTable table;
-  table.record(8, 4, 2, "sc11", tuner::TunedDecision{{}, 41.5, 0.25, true});
+  table.record(8, 4, 2, "sc11", tuner::TunedDecision{{}, 41.5});
   table.record(20, 5, 8, "f64", tuner::TunedDecision{}, kernels::FactorKind::LQ);
   const std::string seeds[] = {
       table.to_json(),

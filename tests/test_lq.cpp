@@ -242,8 +242,6 @@ TEST(LqKeys, TuningTableKeysOnFactorKindAndRoundTrips) {
   tuner::TunedDecision lq_dec;
   lq_dec.config = TreeConfig{TreeKind::FlatTree, KernelFamily::TS, 1, 0};
   lq_dec.model_makespan = 14.0;
-  lq_dec.measured_seconds = 0.25;
-  lq_dec.refined = true;
 
   (void)table.record(8, 3, 4, "table1", qr_dec, FactorKind::QR);
   (void)table.record(8, 3, 4, "table1", lq_dec, FactorKind::LQ);

@@ -236,24 +236,24 @@ TEST(QrSession, CollectBatchAggregatesMultipleFailures) {
   }
 }
 
-TEST(QrSession, SubmitAutoValidatesOptionsUpFront) {
+TEST(QrSession, SubmitValidatesOptionsNamingTheField) {
   QrSession session(QrSession::Config{2});
   auto a = random_matrix<double>(64, 32, 10);
-  QrSession::AutoOptions bad_nb;
-  bad_nb.nb = 0;  // the PR-1 SIGFPE shape: must be a descriptive Error now
+  Options bad_nb;  // tree disengaged: the tuned path
+  bad_nb.nb = 0;   // must be a descriptive Error, never a division by zero
   try {
-    (void)session.submit_auto(ConstMatrixView<double>(a.view()), bad_nb);
-    FAIL() << "expected submit_auto to throw";
+    (void)session.submit(ConstMatrixView<double>(a.view()), bad_nb);
+    FAIL() << "expected submit to throw";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("AutoOptions::nb"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("nb must be >= 1"), std::string::npos) << e.what();
   }
-  QrSession::AutoOptions bad_ib;
+  Options bad_ib;
   bad_ib.ib = -4;
   try {
-    (void)session.factorize_auto(ConstMatrixView<double>(a.view()), bad_ib);
-    FAIL() << "expected factorize_auto to throw";
+    (void)session.submit(ConstMatrixView<double>(a.view()), bad_ib).get();
+    FAIL() << "expected submit to throw";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("AutoOptions::ib"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("ib must be >= 1"), std::string::npos) << e.what();
   }
 }
 

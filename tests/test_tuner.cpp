@@ -1,8 +1,8 @@
 // Tests for the tree autotuner: the TuningTable's JSON round-trip, the
-// stage-1 model's agreement with the paper's Section 5 findings (Greedy /
+// model's agreement with the paper's Section 5 findings (Greedy /
 // Fibonacci on tall grids, TS-family flat/plasma trees on square ones), the
-// TILEDQR_TREE override, stage-2 refinement, and the QrSession auto mode's
-// bitwise equivalence with explicit submission.
+// TILEDQR_TREE override, and the session's one tree rule: submit with a
+// disengaged tree is bitwise the same as submitting the tuner's pick.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -48,20 +48,17 @@ class ScopedEnv {
   std::optional<std::string> saved_;
 };
 
-TunedDecision sample_decision(TreeKind kind, KernelFamily family, int bs, double makespan,
-                              double seconds, bool refined) {
+TunedDecision sample_decision(TreeKind kind, KernelFamily family, int bs, double makespan) {
   TunedDecision d;
   d.config = TreeConfig{kind, family, bs, 1};
   d.model_makespan = makespan;
-  d.measured_seconds = seconds;
-  d.refined = refined;
   return d;
 }
 
 TEST(TuningTable, LookupCountsHitsAndMisses) {
   TuningTable table;
   EXPECT_FALSE(table.lookup(8, 4, 2, "sc11").has_value());
-  auto d = sample_decision(TreeKind::Greedy, KernelFamily::TT, 1, 100.0, -1.0, false);
+  auto d = sample_decision(TreeKind::Greedy, KernelFamily::TT, 1, 100.0);
   table.record(8, 4, 2, "sc11", d);
   auto hit = table.lookup(8, 4, 2, "sc11");
   ASSERT_TRUE(hit.has_value());
@@ -79,24 +76,22 @@ TEST(TuningTable, JsonRoundTripWithStatsIntact) {
   TuningTable table;
   (void)table.lookup(8, 4, 2, "sc11");  // a miss, to have nonzero stats
   table.record(8, 4, 2, "sc11",
-               sample_decision(TreeKind::Greedy, KernelFamily::TT, 1, 123.25, -1.0, false));
+               sample_decision(TreeKind::Greedy, KernelFamily::TT, 1, 123.25));
   table.record(6, 6, 4, "sc11",
-               sample_decision(TreeKind::FlatTree, KernelFamily::TS, 1, 88.5, 0.0125, true));
+               sample_decision(TreeKind::FlatTree, KernelFamily::TS, 1, 88.5));
   table.record(20, 5, 8, "measured-f64(nb=64,ib=32,in)",
-               sample_decision(TreeKind::PlasmaTree, KernelFamily::TS, 5, 41.0, -1.0, false));
+               sample_decision(TreeKind::PlasmaTree, KernelFamily::TS, 5, 41.0));
   (void)table.lookup(8, 4, 2, "sc11");  // a hit
 
   auto before = table.stats();
   EXPECT_EQ(before.hits, 1);
   EXPECT_EQ(before.misses, 1);
-  EXPECT_EQ(before.refinements, 1);
   EXPECT_EQ(before.entries, 3u);
 
   TuningTable loaded = TuningTable::from_json(table.to_json());
   auto after = loaded.stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.refinements, before.refinements);
   EXPECT_EQ(after.entries, before.entries);
 
   for (auto [p, q, w, profile] :
@@ -113,7 +108,7 @@ TEST(TuningTable, SaveLoadFile) {
   std::string path = testing::TempDir() + "tiledqr_tuning_table_test.json";
   TuningTable table;
   table.record(10, 2, 4, "table1",
-               sample_decision(TreeKind::Fibonacci, KernelFamily::TT, 1, 64.0, -1.0, false));
+               sample_decision(TreeKind::Fibonacci, KernelFamily::TT, 1, 64.0));
   table.save(path);
   TuningTable loaded = TuningTable::load(path);
   auto hit = loaded.lookup(10, 2, 4, "table1");
@@ -129,7 +124,7 @@ TEST(TuningTable, EscapesRoundTripInProfileIds) {
   TuningTable table;
   std::string hostile = "quote\" slash\\ nl\n tab\t ctrl\x01 done";
   table.record(3, 2, 1, hostile,
-               sample_decision(TreeKind::Greedy, KernelFamily::TT, 1, 10.0, -1.0, false));
+               sample_decision(TreeKind::Greedy, KernelFamily::TT, 1, 10.0));
   std::string json = table.to_json();
   // Raw control characters are illegal in JSON strings — the writer must
   // \u-escape them so external tools accept the file.
@@ -141,14 +136,13 @@ TEST(TuningTable, EscapesRoundTripInProfileIds) {
 
 TEST(TuningTable, RecordKeepsFirstDecision) {
   TuningTable table;
-  auto first = sample_decision(TreeKind::Greedy, KernelFamily::TT, 1, 10.0, 0.5, true);
-  auto second = sample_decision(TreeKind::FlatTree, KernelFamily::TS, 1, 20.0, 0.4, true);
+  auto first = sample_decision(TreeKind::Greedy, KernelFamily::TT, 1, 10.0);
+  auto second = sample_decision(TreeKind::FlatTree, KernelFamily::TS, 1, 20.0);
   EXPECT_EQ(table.record(4, 4, 2, "sc11", first), first);
   // Later records for the same key are ignored and get the stored entry back.
   EXPECT_EQ(table.record(4, 4, 2, "sc11", second), first);
   auto stats = table.stats();
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.refinements, 1);  // the dropped record must not count
 }
 
 TEST(TuningTable, MalformedJsonThrows) {
@@ -182,6 +176,30 @@ TEST(TuningTable, MalformedJsonThrows) {
       Error);
 }
 
+TEST(TuningTable, LoadsDocumentsWithRetiredTimingFields) {
+  // Tables written when the tuner still timed candidates on the pool carry
+  // "measured_seconds" and "refined" per entry and a "refinements" counter.
+  // They load; new output omits those fields.
+  const std::string old_doc =
+      "{\"version\": 1, \"stats\": {\"hits\": 3, \"misses\": 2, \"refinements\": 1}, "
+      "\"entries\": [{\"p\": 6, \"q\": 3, \"workers\": 2, \"profile\": \"sc11\", "
+      "\"factor\": \"QR\", \"kind\": \"FlatTree\", \"family\": \"TS\", \"bs\": 1, "
+      "\"grasap_k\": 1, \"model_makespan\": 88.5, \"measured_seconds\": 0.0125, "
+      "\"refined\": true}]}";
+  TuningTable loaded = TuningTable::from_json(old_doc);
+  auto stats = loaded.stats();
+  EXPECT_EQ(stats.hits, 3);
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.entries, 1u);
+  auto hit = loaded.lookup(6, 3, 2, "sc11");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, sample_decision(TreeKind::FlatTree, KernelFamily::TS, 1, 88.5));
+
+  const std::string json = loaded.to_json();
+  for (const char* field : {"measured_seconds", "refined", "refinements"})
+    EXPECT_EQ(json.find(field), std::string::npos) << field;
+}
+
 TEST(Tuner, ModelPicksGreedyOrFibonacciForTallShapes) {
   Tuner tuner;  // sc11 profile, model-only
   core::PlanCache cache;
@@ -191,7 +209,6 @@ TEST(Tuner, ModelPicksGreedyOrFibonacciForTallShapes) {
     auto d = tuner.decide(p, q, workers, cache);
     EXPECT_TRUE(d.config.kind == TreeKind::Greedy || d.config.kind == TreeKind::Fibonacci)
         << p << "x" << q << " on " << workers << " -> " << d.config.name();
-    EXPECT_FALSE(d.refined);
     EXPECT_GT(d.model_makespan, 0.0);
   }
 }
@@ -266,25 +283,6 @@ TEST(Tuner, EnvOverrideForcesTree) {
   }
 }
 
-TEST(Tuner, RefinementTimesTopCandidatesOnPool) {
-  TunerConfig config;
-  config.refine_top_k = 2;
-  config.refine_reps = 1;
-  config.refine_nb = 16;  // tiny tiles: stage 2 must stay test-cheap
-  config.refine_ib = 8;
-  Tuner tuner(std::move(config));
-  core::PlanCache cache;
-  runtime::ThreadPool pool(2);
-  auto d = tuner.decide(6, 3, 2, cache, &pool);
-  EXPECT_TRUE(d.refined);
-  EXPECT_GT(d.measured_seconds, 0.0);
-  EXPECT_EQ(tuner.stats().refinements, 1);
-  // The refined decision is memoized like any other.
-  auto again = tuner.decide(6, 3, 2, cache, &pool);
-  EXPECT_EQ(d, again);
-  EXPECT_EQ(tuner.stats().hits, 1);
-}
-
 TEST(Tuner, AcceptsLiveProfileAndRoundTripsThroughTable) {
   // A WeightProfile built from live trace histograms (the observability
   // layer's kernel profiler) drives the tuner like any synthetic profile,
@@ -350,53 +348,60 @@ TEST(Tuner, TablePersistsAcrossTunerLifetimes) {
   std::remove(path.c_str());
 }
 
-TEST(QrSessionAuto, FactorizesWithoutTreeConfigAndMatchesExplicitBitwise) {
+TEST(QrSessionTree, DisengagedTreeSubmitMatchesTheTunedPickBitwise) {
+  // submit() resolves a disengaged tree like every other session path: the
+  // tuner's pick for the input's reduction grid at the request's worker cap.
   core::QrSession session(core::QrSession::Config{.threads = 3});
-  const int nb = 16;
-  core::QrSession::AutoOptions auto_opt;
-  auto_opt.nb = nb;
-  auto_opt.ib = 8;
+  core::Options tuned;  // tree disengaged
+  tuned.nb = 16;
+  tuned.ib = 8;
+  struct Input {
+    std::int64_t m, n;
+    int nb;
+    bool pretiled;  // pre-tiled inputs keep their own nb, whatever tuned.nb says
+  };
+  for (const Input& in : {Input{128, 32, 16, false}, Input{48, 160, 16, false},
+                          Input{60, 20, 10, true}}) {
+    auto a = random_matrix<double>(in.m, in.n, 0xA0 + unsigned(in.m));
+    auto tiles = TileMatrix<double>::from_dense(a.view(), in.nb);
+    core::Options pinned = tuned;
+    pinned.tree = session.choose_tree_for(tiles);
 
-  for (auto [m, n] : {std::pair<std::int64_t, std::int64_t>{96, 32},
-                      std::pair<std::int64_t, std::int64_t>{64, 64}}) {
-    auto a = random_matrix<double>(m, n, 0xA0 + unsigned(m));
-    auto auto_qr = session.factorize_auto<double>(a.view(), auto_opt);
+    auto got = in.pretiled ? session.submit(TileMatrix<double>(tiles), tuned).get()
+                           : session.submit(ConstMatrixView<double>(a.view()), tuned).get();
+    auto want = session.submit(std::move(tiles), pinned).get();
+    EXPECT_EQ(got.kind(), in.m < in.n ? kernels::FactorKind::LQ : kernels::FactorKind::QR);
+    EXPECT_EQ(got.factors().nb(), in.nb);
+    EXPECT_EQ(got.options().tree, pinned.tree) << in.m << "x" << in.n;
 
-    // The tree the tuner chose for this shape, resubmitted explicitly.
-    core::Options explicit_opt;
-    explicit_opt.tree = session.choose_tree(int((m + nb - 1) / nb), int((n + nb - 1) / nb));
-    explicit_opt.nb = nb;
-    explicit_opt.ib = 8;
-    EXPECT_EQ(auto_qr.options().tree, explicit_opt.tree);
-    auto explicit_qr = session.submit(ConstMatrixView<double>(a.view()), explicit_opt).get();
-
-    auto lhs = auto_qr.factors().to_dense();
-    auto rhs = explicit_qr.factors().to_dense();
+    auto lhs = got.factors().to_dense();
+    auto rhs = want.factors().to_dense();
     ASSERT_EQ(lhs.rows(), rhs.rows());
     ASSERT_EQ(lhs.cols(), rhs.cols());
     for (std::int64_t i = 0; i < lhs.rows(); ++i)
       for (std::int64_t j = 0; j < lhs.cols(); ++j)
-        ASSERT_EQ(lhs(i, j), rhs(i, j)) << m << "x" << n << " @ " << i << "," << j;
+        ASSERT_EQ(lhs(i, j), rhs(i, j)) << in.m << "x" << in.n << " @ " << i << "," << j;
   }
-  // One decision per shape: the second factorization of a shape hits the
-  // tuning table (choose_tree above also hit it).
+  // One decision per shape; choose_tree_for above made it, submit hit it.
   auto stats = session.tuning_stats();
-  EXPECT_EQ(stats.misses, 2);
-  EXPECT_GE(stats.hits, 2);
+  EXPECT_EQ(stats.misses, 3);
+  EXPECT_GE(stats.hits, 3);
 }
 
-TEST(QrSessionAuto, PreTiledInputKeepsItsTiling) {
-  core::QrSession session(core::QrSession::Config{.threads = 2});
-  auto dense = random_matrix<double>(60, 20, 77);
-  auto tiles = TileMatrix<double>::from_dense(dense.view(), 10);
-  core::QrSession::AutoOptions opt;
-  opt.nb = 128;  // must be ignored for pre-tiled inputs
-  opt.ib = 8;
-  auto qr = session.factorize_auto(std::move(tiles), opt);
-  EXPECT_EQ(qr.factors().nb(), 10);
-  // Sanity: residual-free R diagonal (factorization actually ran).
-  auto r = qr.r_factor();
-  EXPECT_NE(r(0, 0), 0.0);
+TEST(QrSessionTree, EnvOverrideGovernsDisengagedSubmit) {
+  core::QrSession session(core::QrSession::Config{.threads = 4});
+  core::Options tuned;  // tree disengaged
+  tuned.nb = 16;
+  tuned.ib = 8;
+  auto a = random_matrix<double>(16 * 16, 2 * 16, 0xE7);
+  const TreeConfig model_pick = session.choose_tree(16, 2);
+  ASSERT_NE(model_pick.kind, TreeKind::FlatTree) << model_pick.name();
+
+  ScopedEnv env("TILEDQR_TREE", "flat");
+  auto qr = session.submit(ConstMatrixView<double>(a.view()), tuned).get();
+  ASSERT_TRUE(qr.options().tree.has_value());
+  EXPECT_EQ(qr.options().tree->kind, TreeKind::FlatTree);
+  EXPECT_EQ(qr.options().tree->family, KernelFamily::TS);
 }
 
 }  // namespace
